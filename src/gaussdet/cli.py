@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -33,6 +34,7 @@ from .multisets import (
     verify_identity,
 )
 from .neville import (
+    ORACLE_MAX_N,
     CovarianceParams,
     brute_force_det,
     build_covariance,
@@ -207,9 +209,7 @@ def _det_entry(n: int, oracle_bound: int, trace=None) -> tuple[bool, dict]:
     if not ok:
         entry["diagonal"] = str(diagonal)
     if n <= oracle_bound:
-        oracle = brute_force_det(
-            build_covariance(CovarianceParams(n=n)), bound=max(oracle_bound, n)
-        )
+        oracle = brute_force_det(build_covariance(CovarianceParams(n=n)))
         oracle_ok = oracle == expansion
         entry["oracle_matches"] = bool(oracle_ok)
         if not oracle_ok:
@@ -218,15 +218,27 @@ def _det_entry(n: int, oracle_bound: int, trace=None) -> tuple[bool, dict]:
     return ok, entry
 
 
+def _check_oracle_bound(oracle_bound: int, largest_n: int) -> None:
+    """Refuse, before any work, a run whose Leibniz oracle exceeds ORACLE_MAX_N."""
+    if oracle_bound < 1:
+        raise ValueError(f"--oracle-bound must be >= 1, got {oracle_bound}")
+    n = min(oracle_bound, largest_n)
+    if n > ORACLE_MAX_N:
+        raise ValueError(
+            f"--oracle-bound {oracle_bound} would run the Leibniz oracle at n = {n}, "
+            f"about {n}! = {math.factorial(n):,} symbolic permutations; "
+            f"the oracle is limited to n <= {ORACLE_MAX_N}"
+        )
+
+
 def _cmd_verify_det(args) -> tuple[str, dict]:
-    if args.oracle_bound < 1:
-        raise ValueError(f"--oracle-bound must be >= 1, got {args.oracle_bound}")
     if args.sweep:
         if args.n is not None:
             raise ValueError("--sweep does not take --n")
         ns = range(1, _sweep_limit(DET_SWEEP_MAX) + 1)
     else:
         ns = [_require_n(args)]
+    _check_oracle_bound(args.oracle_bound, max(ns))
     ok = True
     results = []
     for n in ns:
@@ -379,8 +391,9 @@ def _cmd_tp_check(args) -> tuple[str, dict]:
 
 
 def _cmd_verify_all(args) -> tuple[str, dict]:
-    if args.oracle_bound < 1:
-        raise ValueError(f"--oracle-bound must be >= 1, got {args.oracle_bound}")
+    _check_oracle_bound(
+        args.oracle_bound, min(_sweep_limit(U_SWEEP_MAX), _sweep_limit(DET_SWEEP_MAX))
+    )
     checks: list[dict] = []
 
     def record(name: str, ok: bool, **extra):

@@ -22,6 +22,9 @@ from .exact import EtaPoly, EtaRatFunc
 
 Entry = Union[int, Fraction, EtaRatFunc]
 
+# Largest matrix size the Leibniz oracle accepts by default: 8! = 40,320 terms.
+ORACLE_MAX_N = 8
+
 
 class ZeroPivotError(ArithmeticError):
     """A stage pivot was zero, so pivot-free elimination cannot continue."""
@@ -178,7 +181,7 @@ def diagonal_product(trace: EliminationTrace) -> Entry:
     return product
 
 
-def brute_force_det(v: SymMatrix, bound: int = 8) -> Entry:
+def brute_force_det(v: SymMatrix, bound: int = ORACLE_MAX_N) -> Entry:
     """Leibniz-sum determinant: exact, O(n!), independent of elimination.
 
     The factorial cost is capped by ``bound``; raise it explicitly when a

@@ -5,6 +5,12 @@ determinant, not just the principal ones -- to be positive.  This module
 evaluates all of them exactly at a rational eta in (0, 1), so there is no
 floating-point ambiguity near zero: a nonpositive minor here would be a
 genuine counterexample.
+
+``all_minors_positive`` rescales the matrix to integers and builds every
+order-k minor by Laplace expansion along its last row from the stored
+order-(k-1) minors, k multiplications each.  ``minor_value`` evaluates a
+single minor from scratch (Leibniz or fraction-free elimination over
+``Fraction``) and serves as the independent oracle for the sweep.
 """
 
 from __future__ import annotations
@@ -134,6 +140,37 @@ def minor_value(
     return _det(_submatrix(eta, idx.rows, idx.cols), method)
 
 
+def _laplace_minors(matrix: Sequence[Sequence[int]]):
+    """Every minor of a square matrix, one order at a time.
+
+    Yields, for k = 1..n, a dict mapping each k-row set to a dict from each
+    k-column set to the minor (0-based, strictly increasing tuples).  Each
+    order-k minor is expanded along its last row over the order-(k-1) minors
+    of the remaining rows, so only two orders are held at once.
+    """
+    n = len(matrix)
+    prev: dict = {(): {(): 1}}
+    for k in range(1, n + 1):
+        # cofactor sign (-1)^(k+t) for 1-based position t is + at t = k
+        faces = [
+            (cols, [(c, cols[:t] + cols[t + 1:], (k - 1 - t) & 1)
+                    for t, c in enumerate(cols)])
+            for cols in itertools.combinations(range(n), k)
+        ]
+        cur: dict = {}
+        for rows in itertools.combinations(range(n), k):
+            last, sub = matrix[rows[-1]], prev[rows[:-1]]
+            cur[rows] = dets = {}
+            for cols, terms in faces:
+                total = 0
+                for c, face, odd in terms:
+                    term = last[c] * sub[face]
+                    total = total - term if odd else total + term
+                dets[cols] = total
+        yield cur
+        prev = cur
+
+
 def all_minors_positive(n: int, eta_value, bound: int = DEFAULT_BOUND) -> TpReport:
     """Evaluate every square minor exactly and report positivity and the minimum.
 
@@ -145,31 +182,59 @@ def all_minors_positive(n: int, eta_value, bound: int = DEFAULT_BOUND) -> TpRepo
     if n > bound:
         raise ValueError(f"n = {n} exceeds the configured bound {bound}")
     eta = _validate_eta(eta_value)
-    indices = range(1, n + 1)
+    p, q = eta.numerator, eta.denominator
+    # With eta = p/q, eta^((i-j)^2) = eta^(i^2) * eta^(j^2) * (q/p)^(2ij), so scaling
+    # row i by p^(2in) leaves the integer q^(2ij) * p^(2i(n-j)).  The minor on rows
+    # R, cols C is its integer determinant times prod_R eta^(i^2) / p^(2in) *
+    # prod_C eta^(j^2), which is positive because p and eta are: the integer's sign
+    # is the minor's sign.  Times the constant p^(sum 2in - i^2) * q^(2 sum i^2) that
+    # factor becomes the integer row weight times column weight below, so weighted
+    # minors of every order compare as the minors do.
+    span = range(1, n + 1)
+    scaled = [[q ** (2 * i * j) * p ** (2 * i * (n - j)) for j in span] for i in span]
+    rows_in, rows_out = [1] * n, [p ** (2 * i * n - i * i) * q ** (i * i) for i in span]
+    cols_in, cols_out = [p ** (j * j) for j in span], [q ** (j * j) for j in span]
+
+    def weight(idx: tuple[int, ...], inside: list[int], outside: list[int]) -> int:
+        w = 1
+        for i in range(n):
+            w *= inside[i] if i in idx else outside[i]
+        return w
+
     checked = 0
     all_positive = True
     best_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    best_value: Fraction | None = None
-    for k in range(1, n + 1):
-        for rows in itertools.combinations(indices, k):
-            for cols in itertools.combinations(indices, k):
-                value = _det(_submatrix(eta, rows, cols), "auto")
+    best_weighted: int | None = None
+    for k, order in enumerate(_laplace_minors(scaled), 1):
+        col_weights = {
+            cols: weight(cols, cols_in, cols_out)
+            for cols in itertools.combinations(range(n), k)
+        }
+        for rows, dets in order.items():
+            row_weight = weight(rows, rows_in, rows_out)
+            for cols, det in dets.items():
                 checked += 1
-                if value <= 0:
+                if det <= 0:
                     all_positive = False
+                value = det * row_weight * col_weights[cols]
                 key = (rows, cols)
                 if (
-                    best_value is None
-                    or value < best_value
-                    or (value == best_value and key < best_key)
+                    best_weighted is None
+                    or value < best_weighted
+                    or (value == best_weighted and key < best_key)
                 ):
-                    best_value = value
+                    best_weighted = value
                     best_key = key
-    assert best_key is not None and best_value is not None
+    assert best_key is not None and best_weighted is not None
+    # the empty minor is 1, so its weight is the constant
+    best_value = Fraction(
+        best_weighted, weight((), rows_in, rows_out) * weight((), cols_in, cols_out)
+    )
+    rows, cols = (tuple(i + 1 for i in idx) for idx in best_key)
     return TpReport(
         n=n,
         eta_value=eta,
         minors_checked=checked,
-        min_minor=(MinorIndex(*best_key), best_value),
+        min_minor=(MinorIndex(rows, cols), best_value),
         all_positive=all_positive,
     )

@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, JSON schema, and output determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -95,6 +96,36 @@ def test_verify_det_beyond_oracle_bound_still_two_way(run):
     assert report["details"]["oracle_checked"] is False
     assert "oracle_matches" not in report["details"]
     assert report["details"]["diagonal_matches"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("verify-det", "--n", "12", "--oracle-bound", "12"), 12),
+        (("verify-det", "--sweep", "--oracle-bound", "9"), 9),
+        (("verify-all", "--oracle-bound", "10"), 10),
+    ],
+)
+def test_oversized_leibniz_oracle_is_refused_before_work(run, argv, n):
+    code, report = run_json(run, *argv)
+    assert code == 2
+    assert report["outcome"] == "error"
+    error = report["details"]["error"]
+    assert f"{n}! = {math.factorial(n):,}" in error
+    assert report["elapsed_ms"] < 1000
+
+
+def test_oracle_bound_above_the_cap_is_fine_when_n_is_small(run):
+    code, report = run_json(run, "verify-det", "--n", "3", "--oracle-bound", "12")
+    assert code == 0
+    assert report["details"]["oracle_matches"] is True
+
+
+def test_oracle_bound_is_clamped_by_the_sweep_cap(run, monkeypatch):
+    monkeypatch.setenv("GAUSSDET_MAX_N", "4")
+    code, report = run_json(run, "verify-det", "--sweep", "--oracle-bound", "12")
+    assert code == 0
+    assert [r["oracle_checked"] for r in report["details"]["results"]] == [True] * 4
 
 
 # -- leading-term ------------------------------------------------------------------

@@ -7,9 +7,17 @@ from math import comb
 import pytest
 
 from gaussdet.closedform import factored_determinant
-from gaussdet.tpprobe import MinorIndex, all_minors_positive, minor_value
+from gaussdet.tpprobe import (
+    MinorIndex,
+    _det_bareiss,
+    _laplace_minors,
+    all_minors_positive,
+    minor_value,
+)
 
 HALF = Fraction(1, 2)
+# the tp-check sweep's eta values, plus two where p or q is large
+ORACLE_ETAS = [Fraction(e) for e in ("1/10", "1/4", "1/2", "3/4", "9/10", "1/99", "99/100")]
 
 
 # -- index validation -------------------------------------------------------------
@@ -96,8 +104,6 @@ def test_leibniz_and_bareiss_agree_on_larger_spot_checks():
 
 def test_bareiss_handles_a_zero_leading_pivot():
     # not a covariance matrix; exercises the row-swap path through minor internals
-    from gaussdet.tpprobe import _det_bareiss
-
     assert _det_bareiss([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
     assert _det_bareiss([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]) == 0
 
@@ -168,3 +174,111 @@ def test_bound_is_a_knob_not_a_hard_limit():
     assert report.minors_checked == 19
     with pytest.raises(ValueError):
         all_minors_positive(4, HALF, bound=3)
+
+
+# -- Laplace kernel against the Bareiss oracle ------------------------------------
+
+
+def _every_minor(matrix):
+    return {
+        (rows, cols): det
+        for order in _laplace_minors(matrix)
+        for rows, dets in order.items()
+        for cols, det in dets.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # negative minors of orders 1-3 and zero minors of orders 1 and 3
+        [[2, -1, 0, 3], [1, 0, -2, 1], [0, 4, 1, -1], [3, 3, -2, 4]],
+        [[0, 1], [1, 0]],
+    ],
+)
+def test_laplace_kernel_matches_bareiss_on_signed_matrices(matrix):
+    n = len(matrix)
+    minors = _every_minor(matrix)
+    assert len(minors) == sum(comb(n, k) ** 2 for k in range(1, n + 1))
+    for (rows, cols), det in minors.items():
+        sub = [[Fraction(matrix[i][j]) for j in cols] for i in rows]
+        assert det == _det_bareiss(sub), (rows, cols)
+    assert any(det < 0 for det in minors.values())
+    assert any(det == 0 for det in minors.values())
+
+
+def test_laplace_kernel_swap_matrix():
+    minors = _every_minor([[0, 1], [1, 0]])
+    assert minors[(0, 1), (0, 1)] == -1
+    assert [minors[(i,), (j,)] for i in range(2) for j in range(2)] == [0, 1, 1, 0]
+
+
+# -- the sweep against a from-scratch oracle ---------------------------------------
+
+
+@pytest.mark.parametrize("eta", ORACLE_ETAS)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sweep_matches_bareiss_on_every_minor(n, eta):
+    checked = 0
+    best = None
+    for k in range(1, n + 1):
+        for rows in itertools.combinations(range(1, n + 1), k):
+            for cols in itertools.combinations(range(1, n + 1), k):
+                value = minor_value(n, eta, MinorIndex(rows, cols), method="bareiss")
+                checked += 1
+                candidate = (value, rows, cols)
+                if best is None or candidate < best:
+                    best = candidate
+    report = all_minors_positive(n, eta)
+    assert report.minors_checked == checked
+    assert report.all_positive is (best[0] > 0)
+    idx, value = report.min_minor
+    assert (value, idx.rows, idx.cols) == best
+
+
+def test_sweep_breaks_a_transposed_tie_lexicographically():
+    # the matrix is symmetric, so (R, C) and (C, R) always tie
+    report = all_minors_positive(4, Fraction(1, 3))
+    idx, value = report.min_minor
+    assert idx.rows < idx.cols
+    assert minor_value(4, Fraction(1, 3), MinorIndex(idx.cols, idx.rows)) == value
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("eta", [HALF, Fraction(9, 10), Fraction(99, 100)])
+def test_full_minor_of_the_integer_rescaling_matches_factored_determinant(n, eta):
+    # row i scaled by p^(2in); the minor is the integer determinant times
+    # prod_i eta^(i^2) / p^(2in) * prod_j eta^(j^2)
+    p, q = eta.numerator, eta.denominator
+    scaled = [
+        [q ** (2 * i * j) * p ** (2 * i * (n - j)) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    *_, full = _laplace_minors(scaled)
+    everything = tuple(range(n))
+    factor = Fraction(1)
+    for i in range(1, n + 1):
+        factor *= eta ** (2 * i * i) / p ** (2 * i * n)
+    assert full[everything][everything] * factor == factored_determinant(n).evaluate(eta)
+
+
+@pytest.mark.parametrize("eta", [Fraction(9, 10), Fraction(99, 100)])
+@pytest.mark.parametrize("n", [7, 8])
+def test_near_one_the_minimum_is_the_full_determinant(n, eta):
+    report = all_minors_positive(n, eta)
+    assert report.all_positive
+    idx, value = report.min_minor
+    assert idx.rows == idx.cols == tuple(range(1, n + 1))
+    assert value == factored_determinant(n).evaluate(eta)
+
+
+def test_nonpositive_minor_fails_the_sweep(monkeypatch):
+    # reversing the rows of the 2x2 integer matrix negates its full minor only
+    from gaussdet import tpprobe
+
+    kernel = tpprobe._laplace_minors
+    monkeypatch.setattr(tpprobe, "_laplace_minors", lambda matrix: kernel(matrix[::-1]))
+    report = all_minors_positive(2, HALF)
+    assert report.all_positive is False
+    idx, value = report.min_minor
+    assert (idx.rows, idx.cols, value) == ((1, 2), (1, 2), -Fraction(3, 4))
