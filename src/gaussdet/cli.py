@@ -9,6 +9,7 @@ reports except for the elapsed-time field.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -19,10 +20,8 @@ from fractions import Fraction
 from .closedform import (
     ai1_grid_holds,
     ai2_grid_holds,
-    LeadingTerm,
     factored_determinant,
-    series_determinant,
-    superfactorial,
+    leading_term,
     verify_closed_form,
 )
 from .multisets import (
@@ -50,10 +49,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-U_SWEEP_MAX = 10
-DET_SWEEP_MAX = 10
-LEADING_SWEEP_MAX = 8
-TP_SWEEP_MAX = 7
+# first and last n of each --sweep; GAUSSDET_MAX_N lowers the last
+SWEEP_NS = {"verify-u": (1, 10), "verify-det": (1, 10), "leading-term": (2, 8), "tp-check": (1, 7)}
 TP_SWEEP_ETAS = ("1/10", "1/4", "1/2", "3/4", "9/10")
 DEFAULT_ORACLE_BOUND = 6
 
@@ -78,9 +75,10 @@ def _check_cap(n: int) -> int:
     return n
 
 
-def _sweep_limit(default: int) -> int:
+def _sweep_ns(command: str) -> range:
+    first, last = SWEEP_NS[command]
     cap = _max_n_cap()
-    return default if cap is None else min(default, cap)
+    return range(first, (last if cap is None else min(last, cap)) + 1)
 
 
 def _require_n(args) -> int:
@@ -89,6 +87,31 @@ def _require_n(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     return _check_cap(args.n)
+
+
+def _sweeping(args, *flags: str) -> bool:
+    """Whether --sweep is given; refuses it together with any of the flags."""
+    if args.sweep and any(getattr(args, flag) is not None for flag in flags):
+        raise ValueError("--sweep does not take " + "/".join(f"--{flag}" for flag in flags))
+    return args.sweep
+
+
+def _ns(args, *flags: str) -> range:
+    """The command's sweep range under --sweep, which refuses --n and the flags; else --n."""
+    if _sweeping(args, "n", *flags):
+        return _sweep_ns(args.command)
+    n = _require_n(args)
+    return range(n, n + 1)
+
+
+def _fold(checks, sweep: bool) -> tuple[str, dict]:
+    """Outcome and details of (ok, entry) pairs: a sweep lists every entry, else the one."""
+    ok = True
+    results = []
+    for good, entry in checks:
+        ok = ok and good
+        results.append(entry)
+    return ("pass" if ok else "fail"), ({"results": results} if sweep else results[0])
 
 
 def _parse_eta(text: str) -> Fraction:
@@ -125,30 +148,27 @@ def _build_parser() -> argparse.ArgumentParser:
         if sweep_help is not None:
             p.add_argument("--sweep", action="store_true", help=sweep_help)
 
-    p = sub.add_parser("verify-u", help="compare every elimination stage to its closed form")
-    p.add_argument("--n", type=int)
-    common(p, f"check every n from 1 to {U_SWEEP_MAX}")
+    def n_command(name: str, help_text: str, sweep_suffix: str = "") -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n", type=int)
+        first, last = SWEEP_NS[name]
+        common(p, f"check every n from {first} to {last}{sweep_suffix}")
+        return p
 
-    p = sub.add_parser("verify-det", help="factored vs diagonal-product vs Leibniz determinant")
-    p.add_argument("--n", type=int)
+    n_command("verify-u", "compare every elimination stage to its closed form")
+    p = n_command("verify-det", "factored vs diagonal-product vs Leibniz determinant")
     p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND,
                    help="largest n for the Leibniz cross-check")
-    common(p, f"check every n from 1 to {DET_SWEEP_MAX}")
-
-    p = sub.add_parser("leading-term", help="leading spacing-order term, series cross-check")
-    p.add_argument("--n", type=int)
-    p.add_argument("--order", type=int, help="series truncation order (default n(n-1)/2)")
-    common(p, f"check every n from 2 to {LEADING_SWEEP_MAX}")
+    n_command("leading-term", "leading spacing-order term, series cross-check")
 
     p = sub.add_parser("multiset", help="verify one of the multiset identities MI1..MI6")
     p.add_argument("--identity", choices=IDENTITY_NAMES)
     p.add_argument("--params", type=_csv_ints, help="comma-separated identity parameters")
     common(p, "run the full parameter grid for every identity")
 
-    p = sub.add_parser("tp-check", help="evaluate every minor exactly and check positivity")
-    p.add_argument("--n", type=int)
+    p = n_command("tp-check", "evaluate every minor exactly and check positivity",
+                  f" at eta in {{{', '.join(TP_SWEEP_ETAS)}}}")
     p.add_argument("--eta", help="rational in (0, 1), e.g. 1/2")
-    common(p, f"n up to {TP_SWEEP_MAX} at eta in {{{', '.join(TP_SWEEP_ETAS)}}}")
 
     p = sub.add_parser("verify-all", help="run every verification grid in one pass")
     p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
@@ -157,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# -- per-command result builders ------------------------------------------
+# -- per-check entries and the grids they run over -----------------------------
 
 
 def _u_entry(n: int, trace=None) -> tuple[bool, dict]:
@@ -173,23 +193,6 @@ def _u_entry(n: int, trace=None) -> tuple[bool, dict]:
             "actual": report.actual,
         }
     return report.agree, entry
-
-
-def _cmd_verify_u(args) -> tuple[str, dict]:
-    if args.sweep:
-        if args.n is not None:
-            raise ValueError("--sweep does not take --n")
-        ns = range(1, _sweep_limit(U_SWEEP_MAX) + 1)
-    else:
-        ns = [_require_n(args)]
-    ok = True
-    results = []
-    for n in ns:
-        good, entry = _u_entry(n)
-        ok = ok and good
-        results.append(entry)
-    details = {"results": results} if args.sweep else results[0]
-    return ("pass" if ok else "fail"), details
 
 
 def _det_entry(n: int, oracle_bound: int, trace=None) -> tuple[bool, dict]:
@@ -209,7 +212,7 @@ def _det_entry(n: int, oracle_bound: int, trace=None) -> tuple[bool, dict]:
     if not ok:
         entry["diagonal"] = str(diagonal)
     if n <= oracle_bound:
-        oracle = brute_force_det(build_covariance(CovarianceParams(n=n)))
+        oracle = brute_force_det(trace.stage(1))
         oracle_ok = oracle == expansion
         entry["oracle_matches"] = bool(oracle_ok)
         if not oracle_ok:
@@ -231,111 +234,94 @@ def _check_oracle_bound(oracle_bound: int, largest_n: int) -> None:
         )
 
 
-def _cmd_verify_det(args) -> tuple[str, dict]:
-    if args.sweep:
-        if args.n is not None:
-            raise ValueError("--sweep does not take --n")
-        ns = range(1, _sweep_limit(DET_SWEEP_MAX) + 1)
-    else:
-        ns = [_require_n(args)]
-    _check_oracle_bound(args.oracle_bound, max(ns))
-    ok = True
-    results = []
-    for n in ns:
-        good, entry = _det_entry(n, args.oracle_bound)
-        ok = ok and good
-        results.append(entry)
-    details = {"results": results} if args.sweep else results[0]
-    return ("pass" if ok else "fail"), details
+def _leading_entry(n: int) -> tuple[bool, dict]:
+    """The closed-form leading term, which closedform confirms by the series product.
 
-
-def _leading_entry(n: int, order: int | None) -> tuple[bool, dict]:
-    target = n * (n - 1) // 2
-    if order is None:
-        order = target
-    elif order < target:
-        raise ValueError(f"--order must be >= n(n-1)/2 = {target}, got {order}")
-    expected = superfactorial(n - 1) * 2 ** target
-    series = series_determinant(n, order)
-    zero_below = all(series.coefficient(m) == 0 for m in range(target))
-    series_coeff = series.coefficient(target)
-    ok = zero_below and series_coeff == expected
-    closed = LeadingTerm(expected, target, n * (n - 1))
-    entry = {
+    The series is truncated at t^(n(n-1)/2), the highest power it is compared at.
+    """
+    try:
+        term = leading_term(n)
+    except ArithmeticError as exc:
+        return False, {"n": n, "error": str(exc)}
+    return True, {
         "n": n,
-        "closed_form": str(closed),
-        "coefficient": str(expected),
-        "theta_power": target,
-        "delta_power": n * (n - 1),
-        "series_order": order,
-        "series_zero_below_leading": bool(zero_below),
-        "series_leading_coefficient": str(series_coeff),
-        "series_matches": bool(ok),
+        "closed_form": str(term),
+        "coefficient": str(term.coefficient),
+        "theta_power": term.theta_power,
+        "delta_power": term.delta_power,
+        "series_order": term.theta_power,
+        "series_zero_below_leading": True,
+        "series_leading_coefficient": str(term.coefficient),
+        "series_matches": True,
     }
-    return ok, entry
-
-
-def _cmd_leading_term(args) -> tuple[str, dict]:
-    if args.sweep:
-        if args.n is not None:
-            raise ValueError("--sweep does not take --n")
-        if args.order is not None:
-            raise ValueError("--sweep does not take --order")
-        ns = range(2, _sweep_limit(LEADING_SWEEP_MAX) + 1)
-    else:
-        n = _require_n(args)
-        if n < 2:
-            raise ValueError("--n must be >= 2: a single point has no spacing dependence")
-        ns = [n]
-    ok = True
-    results = []
-    for n in ns:
-        good, entry = _leading_entry(n, args.order if not args.sweep else None)
-        ok = ok and good
-        results.append(entry)
-    details = {"results": results} if args.sweep else results[0]
-    return ("pass" if ok else "fail"), details
 
 
 def _identity_grid(identity: str):
     """The standard verification grid, in fixed lexicographic order."""
-    names = identity_param_names(identity)
-    if "alpha" in names:
-        for n in range(1, 5):
-            for alpha in range(0, 4):
-                for beta in range(1, 7):
-                    for delta in range(2, 7):
-                        yield (n, alpha, beta, delta)
-    else:
-        for n in range(1, 5):
-            for beta in range(1, 7):
-                for delta in range(2, 7):
-                    yield (n, beta, delta)
+    ns, alphas, betas, deltas = range(1, 5), range(0, 4), range(1, 7), range(2, 7)
+    if "alpha" in identity_param_names(identity):
+        return itertools.product(ns, alphas, betas, deltas)
+    return itertools.product(ns, betas, deltas)
+
+
+def _identity_sweep(identity: str) -> tuple[int, list[dict]]:
+    """Instances checked and failures over the identity's grid."""
+    instances = 0
+    failures = []
+    for params in _identity_grid(identity):
+        report = verify_identity(identity, params)
+        instances += 1
+        if not report.equal:
+            failures.append({"params": list(params), "difference": str(report.difference)})
+    return instances, failures
+
+
+def _tp_entry(n: int, eta: Fraction) -> tuple[bool, dict]:
+    report = all_minors_positive(n, eta)
+    idx, value = report.min_minor
+    entry = {
+        "n": n,
+        "eta": str(report.eta_value),
+        "minors_checked": report.minors_checked,
+        "all_positive": report.all_positive,
+        "min_minor": {"rows": list(idx.rows), "cols": list(idx.cols), "value": str(value)},
+    }
+    return report.all_positive, entry
+
+
+def _tp_sweep(ns: range):
+    return (_tp_entry(n, Fraction(eta)) for n in ns for eta in TP_SWEEP_ETAS)
+
+
+# -- subcommands -----------------------------------------------------------------
+
+
+def _cmd_verify_u(args) -> tuple[str, dict]:
+    return _fold((_u_entry(n) for n in _ns(args)), args.sweep)
+
+
+def _cmd_verify_det(args) -> tuple[str, dict]:
+    ns = _ns(args)
+    _check_oracle_bound(args.oracle_bound, ns[-1])
+    return _fold((_det_entry(n, args.oracle_bound) for n in ns), args.sweep)
+
+
+def _cmd_leading_term(args) -> tuple[str, dict]:
+    return _fold((_leading_entry(n) for n in _ns(args)), args.sweep)
 
 
 def _cmd_multiset(args) -> tuple[str, dict]:
-    if args.sweep:
-        if args.identity is not None or args.params is not None:
-            raise ValueError("--sweep does not take --identity/--params")
-        instances = 0
+    if _sweeping(args, "identity", "params"):
         per_identity = {}
         failures = []
         for identity in IDENTITY_NAMES:
-            count = 0
-            for params in _identity_grid(identity):
-                report = verify_identity(identity, params)
-                count += 1
-                if not report.equal:
-                    failures.append(
-                        {
-                            "identity": identity,
-                            "params": list(params),
-                            "difference": str(report.difference),
-                        }
-                    )
-            per_identity[identity] = count
-            instances += count
-        details = {"instances": instances, "per_identity": per_identity, "failures": failures}
+            per_identity[identity], failed = _identity_sweep(identity)
+            failures += [{"identity": identity, **failure} for failure in failed]
+        details = {
+            "instances": sum(per_identity.values()),
+            "per_identity": per_identity,
+            "failures": failures,
+        }
         return ("pass" if not failures else "fail"), details
     if args.identity is None:
         raise ValueError("--identity is required (or use --sweep)")
@@ -357,104 +343,64 @@ def _cmd_multiset(args) -> tuple[str, dict]:
     return ("pass" if report.equal else "fail"), details
 
 
-def _tp_entry(n: int, eta: Fraction) -> tuple[bool, dict]:
-    report = all_minors_positive(n, eta)
-    idx, value = report.min_minor
-    entry = {
-        "n": n,
-        "eta": str(report.eta_value),
-        "minors_checked": report.minors_checked,
-        "all_positive": report.all_positive,
-        "min_minor": {"rows": list(idx.rows), "cols": list(idx.cols), "value": str(value)},
-    }
-    return report.all_positive, entry
-
-
 def _cmd_tp_check(args) -> tuple[str, dict]:
+    ns = _ns(args, "eta")
     if args.sweep:
-        if args.n is not None or args.eta is not None:
-            raise ValueError("--sweep does not take --n/--eta")
-        ok = True
-        results = []
-        for n in range(1, _sweep_limit(TP_SWEEP_MAX) + 1):
-            for eta_text in TP_SWEEP_ETAS:
-                good, entry = _tp_entry(n, Fraction(eta_text))
-                ok = ok and good
-                results.append(entry)
-        return ("pass" if ok else "fail"), {"results": results}
-    n = _require_n(args)
+        return _fold(_tp_sweep(ns), sweep=True)
     if args.eta is None:
         raise ValueError("--eta is required (or use --sweep)")
-    eta = _parse_eta(args.eta)
-    good, entry = _tp_entry(n, eta)
-    return ("pass" if good else "fail"), entry
+    return _fold([_tp_entry(ns[0], _parse_eta(args.eta))], sweep=False)
 
 
 def _cmd_verify_all(args) -> tuple[str, dict]:
-    _check_oracle_bound(
-        args.oracle_bound, min(_sweep_limit(U_SWEEP_MAX), _sweep_limit(DET_SWEEP_MAX))
-    )
+    u_ns, det_ns = _sweep_ns("verify-u"), _sweep_ns("verify-det")
+    _check_oracle_bound(args.oracle_bound, min(u_ns[-1], det_ns[-1]))
     checks: list[dict] = []
 
     def record(name: str, ok: bool, **extra):
-        entry = {"name": name, "outcome": "pass" if ok else "fail"}
-        entry.update(extra)
-        checks.append(entry)
+        checks.append({"name": name, "outcome": "pass" if ok else "fail", **extra})
 
-    for n in range(1, _sweep_limit(U_SWEEP_MAX) + 1):
+    def pick(entry: dict, *keys: str) -> dict:
+        return {key: entry[key] for key in keys if key in entry}
+
+    # verify-u and verify-det alternate on one shared elimination trace per n
+    for n in u_ns:
         trace = neville_eliminate(build_covariance(CovarianceParams(n=n)))
         good, entry = _u_entry(n, trace=trace)
-        record(f"verify-u n={n}", good, entries_checked=entry["entries_checked"],
-               **({"first_mismatch": entry["first_mismatch"]} if not good else {}))
-        if n <= _sweep_limit(DET_SWEEP_MAX):
+        record(f"verify-u n={n}", good, **pick(entry, "entries_checked", "first_mismatch"))
+        if n in det_ns:
             good, entry = _det_entry(n, args.oracle_bound, trace=trace)
-            record(f"verify-det n={n}", good, factored=entry["factored"],
-                   oracle_checked=entry["oracle_checked"],
+            record(f"verify-det n={n}", good, **pick(entry, "factored", "oracle_checked"),
                    **({"counterexample": entry} if not good else {}))
 
-    for n in range(2, _sweep_limit(LEADING_SWEEP_MAX) + 1):
-        good, entry = _leading_entry(n, None)
-        record(f"leading-term n={n}", good, closed_form=entry["closed_form"])
+    for n in _sweep_ns("leading-term"):
+        good, entry = _leading_entry(n)
+        record(f"leading-term n={n}", good, **pick(entry, "closed_form", "error"))
 
     record("ai1-grid |i|,|j|,|n|<=10", ai1_grid_holds(10))
     record("ai2-grid i<=10, j<=10", ai2_grid_holds(10, 10))
 
     for identity in IDENTITY_NAMES:
-        instances = 0
-        failures = []
-        for params in _identity_grid(identity):
-            report = verify_identity(identity, params)
-            instances += 1
-            if not report.equal:
-                failures.append({"params": list(params), "difference": str(report.difference)})
+        instances, failures = _identity_sweep(identity)
         record(f"multiset {identity} grid", not failures, instances=instances,
                **({"failures": failures} if failures else {}))
 
-    lift_ok = True
+    lift_grid = [(w, i, j) for w in range(2, 6) for i in range(w + 1, w + 6)
+                 for j in range(w + 1, w + 6)]
     lift_failure = None
-    lift_count = 0
-    for w in range(2, 6):
-        for i in range(w + 1, w + 6):
-            for j in range(w + 1, w + 6):
-                lift_count += 1
-                try:
-                    lift_duality(w, i, j)
-                except LiftDualityError as exc:
-                    lift_ok = False
-                    if lift_failure is None:
-                        lift_failure = {
-                            "w": exc.w, "i": exc.i, "j": exc.j,
-                            "difference": str(exc.difference),
-                        }
-    record("lift-duality w=2..5", lift_ok, instances=lift_count,
+    for w, i, j in lift_grid:
+        try:
+            lift_duality(w, i, j)
+        except LiftDualityError as exc:
+            if lift_failure is None:
+                lift_failure = {"w": exc.w, "i": exc.i, "j": exc.j,
+                                "difference": str(exc.difference)}
+    record("lift-duality w=2..5", lift_failure is None, instances=len(lift_grid),
            **({"counterexample": lift_failure} if lift_failure else {}))
 
-    for n in range(1, _sweep_limit(TP_SWEEP_MAX) + 1):
-        for eta_text in TP_SWEEP_ETAS:
-            good, entry = _tp_entry(n, Fraction(eta_text))
-            record(f"tp-check n={n} eta={eta_text}", good,
-                   minors_checked=entry["minors_checked"],
-                   min_minor=entry["min_minor"])
+    for good, entry in _tp_sweep(_sweep_ns("tp-check")):
+        record(f"tp-check n={entry['n']} eta={entry['eta']}", good,
+               **pick(entry, "minors_checked", "min_minor"))
 
     passed = sum(1 for c in checks if c["outcome"] == "pass")
     failed = len(checks) - passed
@@ -477,7 +423,7 @@ _HANDLERS = {
 
 def _echo_inputs(args) -> dict:
     echo: dict = {}
-    for key in ("n", "eta", "identity", "params", "order", "oracle_bound", "sweep"):
+    for key in ("n", "eta", "identity", "params", "oracle_bound", "sweep"):
         value = getattr(args, key, None)
         if value is None:
             continue

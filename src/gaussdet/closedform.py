@@ -174,22 +174,20 @@ def series_determinant(n: int, order: int) -> TruncatedSeries:
     return product
 
 
-def leading_term(n: int, order: int | None = None) -> LeadingTerm:
+def leading_term(n: int) -> LeadingTerm:
     """Closed-form leading term, cross-checked against the series expansion.
 
     The series product must have zero coefficients below t^(n(n-1)/2) and
     exactly SF(n-1) * 2^(n(n-1)/2) there; any discrepancy raises
-    ArithmeticError (it would falsify the closed form).
+    ArithmeticError (it would falsify the closed form).  The product is
+    truncated at t^(n(n-1)/2): truncated multiplication is exact up to its
+    order, so a longer series would compare the same coefficients.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2 (n = 1 has no spacing dependence), got {n!r}")
     target = n * (n - 1) // 2
-    if order is None:
-        order = target
-    elif order < target:
-        raise ValueError(f"order must be >= n(n-1)/2 = {target}, got {order}")
     coefficient = superfactorial(n - 1) * 2 ** target
-    series = series_determinant(n, order)
+    series = series_determinant(n, target)
     for m in range(target):
         if series.coefficient(m) != 0:
             raise ArithmeticError(

@@ -9,8 +9,8 @@ genuine counterexample.
 ``all_minors_positive`` rescales the matrix to integers and builds every
 order-k minor by Laplace expansion along its last row from the stored
 order-(k-1) minors, k multiplications each.  ``minor_value`` evaluates a
-single minor from scratch (Leibniz or fraction-free elimination over
-``Fraction``) and serves as the independent oracle for the sweep.
+single minor from scratch by fraction-free (Bareiss) elimination over
+``Fraction`` and serves as the independent oracle for the sweep.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 DEFAULT_BOUND = 8
-
-# Leibniz is used up to this minor size, fraction-free elimination above it.
-_LEIBNIZ_MAX = 6
-
-_METHODS = ("auto", "leibniz", "bareiss")
 
 
 @dataclass(frozen=True)
@@ -77,20 +72,6 @@ def _validate_eta(eta_value) -> Fraction:
     return eta
 
 
-def _det_leibniz(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    k = len(rows)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(k)):
-        inversions = sum(
-            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-        )
-        term = rows[0][perm[0]]
-        for i in range(1, k):
-            term *= rows[i][perm[i]]
-        total = total - term if inversions & 1 else total + term
-    return total
-
-
 def _det_bareiss(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Fraction-free elimination; every division is exact."""
     m = [list(r) for r in rows]
@@ -119,25 +100,13 @@ def _submatrix(eta: Fraction, rows: Sequence[int], cols: Sequence[int]):
     return [[eta ** ((i - j) ** 2) for j in cols] for i in rows]
 
 
-def _det(sub, method: str) -> Fraction:
-    if method == "auto":
-        method = "leibniz" if len(sub) <= _LEIBNIZ_MAX else "bareiss"
-    if method == "leibniz":
-        return _det_leibniz(sub)
-    return _det_bareiss(sub)
-
-
-def minor_value(
-    n: int, eta_value, idx: MinorIndex, method: str = "auto"
-) -> Fraction:
+def minor_value(n: int, eta_value, idx: MinorIndex) -> Fraction:
     """Exact determinant of the selected submatrix at the given eta."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     eta = _validate_eta(eta_value)
     idx.validate_for(n)
-    return _det(_submatrix(eta, idx.rows, idx.cols), method)
+    return _det_bareiss(_submatrix(eta, idx.rows, idx.cols))
 
 
 def _laplace_minors(matrix: Sequence[Sequence[int]]):

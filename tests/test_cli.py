@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, JSON schema, and output determinism."""
 
+import hashlib
 import json
 import math
 
@@ -152,14 +153,6 @@ def test_leading_term_rejects_one_point(run):
     assert "n" in err
 
 
-def test_leading_term_respects_order_floor(run):
-    code, _, err = run("leading-term", "--n", "4", "--order", "3")
-    assert code == 2
-    code, report = run_json(run, "leading-term", "--n", "4", "--order", "8")
-    assert code == 0
-    assert report["details"]["series_order"] == 8
-
-
 # -- multiset ----------------------------------------------------------------------
 
 
@@ -253,6 +246,59 @@ def test_error_report_in_json_mode(run):
     assert "error" in report["details"]
 
 
+def report_digest(out):
+    """sha256 prefix of a JSON report without elapsed_ms, as the benchmark's golden file has it."""
+    report = json.loads(out)
+    report.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("verify-u", "--sweep"), "b286bc705f742fc9"),
+        (("verify-det", "--sweep"), "92ddda8a9a281b9f"),
+        (("leading-term", "--sweep"), "c10b8b30d29d847e"),
+        (("tp-check", "--sweep"), "251e5f593fdfaf4b"),
+    ],
+)
+def test_sweep_reports_are_pinned(run, argv, digest):
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 0
+    assert report_digest(out) == digest
+
+
+def test_text_report_is_pinned(run):
+    code, out, _ = run("verify-det", "--n", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "618a192c5d7c3fbe"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-u", "--sweep", "--n", "3"),
+        ("verify-det", "--sweep", "--n", "3"),
+        ("leading-term", "--sweep", "--n", "3"),
+        ("tp-check", "--sweep", "--n", "3"),
+        ("tp-check", "--sweep", "--eta", "1/2"),
+        ("multiset", "--sweep", "--identity", "MI6"),
+        ("multiset", "--sweep", "--params", "2,4,4"),
+    ],
+)
+def test_sweep_refuses_conflicting_flags_before_any_work(run, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in ("verify_closed_form", "neville_eliminate", "factored_determinant",
+                 "leading_term", "verify_identity", "all_minors_positive"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, report = run_json(run, *argv)
+    assert code == 2
+    assert report["outcome"] == "error"
+    assert report["details"]["error"].startswith("--sweep does not take")
+
+
 def test_unknown_subcommand_is_usage_error(run):
     assert run("frobnicate")[0] == 2
 
@@ -299,3 +345,30 @@ def test_failed_check_exits_one_with_counterexample(run, monkeypatch):
         "expected": "eta",
         "actual": "eta^2",
     }
+
+
+def test_failed_leading_term_is_one_failed_check_of_verify_all(run, monkeypatch):
+    real = cli.leading_term
+
+    def broken(n):
+        if n == 5:
+            raise ArithmeticError("series leading coefficient 0 != 294912")
+        return real(n)
+
+    monkeypatch.setattr(cli, "leading_term", broken)
+    code, report = run_json(run, "verify-all")
+    assert code == 1
+    assert report["outcome"] == "fail"
+    checks = report["details"]["checks"]
+    assert len(checks) == 74
+    failed = [check for check in checks if check["outcome"] != "pass"]
+    assert failed == [{
+        "name": "leading-term n=5",
+        "outcome": "fail",
+        "error": "series leading coefficient 0 != 294912",
+    }]
+    assert report["details"]["summary"] == {"passed": 73, "failed": 1}
+
+    code, report = run_json(run, "leading-term", "--n", "5")
+    assert code == 1
+    assert report["details"] == {"n": 5, "error": "series leading coefficient 0 != 294912"}

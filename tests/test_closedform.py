@@ -234,12 +234,6 @@ def test_leading_term_rendering():
 def test_leading_term_rejects_small_n_and_order():
     with pytest.raises(ValueError):
         leading_term(1)
-    with pytest.raises(ValueError):
-        leading_term(4, order=5)
-
-
-def test_leading_term_with_extended_order():
-    assert leading_term(3, order=8).coefficient == 16
 
 
 @pytest.mark.parametrize("n", range(2, 9))

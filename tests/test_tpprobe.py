@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from gaussdet.closedform import factored_determinant
+from gaussdet.neville import CovarianceParams, SymMatrix, brute_force_det, build_covariance
 from gaussdet.tpprobe import (
     MinorIndex,
     _det_bareiss,
@@ -76,8 +77,12 @@ def test_minor_value_validates_eta_and_method():
         minor_value(2, Fraction(3, 2), idx)
     with pytest.raises(ValueError):
         minor_value(2, Fraction(0), idx)
-    with pytest.raises(ValueError):
-        minor_value(2, HALF, idx, method="cofactor")
+
+
+def leibniz_minor(n, eta, idx):
+    """The minor by the Leibniz sum of neville's oracle, on the covariance matrix it builds."""
+    matrix = build_covariance(CovarianceParams(n=n, eta_value=eta))
+    return brute_force_det(SymMatrix([[matrix.entry(i, j) for j in idx.cols] for i in idx.rows]))
 
 
 @pytest.mark.parametrize("eta", [Fraction(1, 10), HALF, Fraction(9, 10)])
@@ -87,9 +92,7 @@ def test_leibniz_and_bareiss_agree_on_all_minors_up_to_five(eta):
         for rows in itertools.combinations(range(1, n + 1), k):
             for cols in itertools.combinations(range(1, n + 1), k):
                 idx = MinorIndex(rows, cols)
-                assert minor_value(n, eta, idx, method="leibniz") == minor_value(
-                    n, eta, idx, method="bareiss"
-                )
+                assert minor_value(n, eta, idx) == leibniz_minor(n, eta, idx)
 
 
 def test_leibniz_and_bareiss_agree_on_larger_spot_checks():
@@ -97,9 +100,7 @@ def test_leibniz_and_bareiss_agree_on_larger_spot_checks():
         MinorIndex((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7)),
         MinorIndex((1, 2, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7)),
     ):
-        assert minor_value(7, HALF, idx, method="leibniz") == minor_value(
-            7, HALF, idx, method="bareiss"
-        )
+        assert minor_value(7, HALF, idx) == leibniz_minor(7, HALF, idx)
 
 
 def test_bareiss_handles_a_zero_leading_pivot():
@@ -224,7 +225,7 @@ def test_sweep_matches_bareiss_on_every_minor(n, eta):
     for k in range(1, n + 1):
         for rows in itertools.combinations(range(1, n + 1), k):
             for cols in itertools.combinations(range(1, n + 1), k):
-                value = minor_value(n, eta, MinorIndex(rows, cols), method="bareiss")
+                value = minor_value(n, eta, MinorIndex(rows, cols))
                 checked += 1
                 candidate = (value, rows, cols)
                 if best is None or candidate < best:
