@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import EtaPoly, TruncatedSeries, poly_h, series_one_minus_exp
+from .exact import EtaPoly, poly_h, series_one_minus_exp
 from .multisets import SimplexSpec, enumerate_simplex
 from .neville import (
     CovarianceParams,
@@ -158,20 +158,36 @@ class LeadingTerm:
         return f"{self.coefficient} * theta^{self.theta_power} * delta^{self.delta_power}"
 
 
-def series_determinant(n: int, order: int) -> TruncatedSeries:
-    """Determinant as a truncated series in t = theta * delta^2.
+def _truncated_product(a: tuple, b: tuple) -> tuple:
+    """Product of two coefficient tuples of equal length, cut off at that length."""
+    n = len(a)
+    out = [0] * n
+    for i, ci in enumerate(a):
+        if ci:
+            for j in range(n - i):
+                cj = b[j]
+                if cj:
+                    out[i + j] += ci * cj
+    return tuple(out)
+
+
+def series_determinant(n: int, order: int) -> tuple[Fraction, ...]:
+    """Determinant as a series in t = theta * delta^2, coefficients up to t^order.
 
     Each factor h_q becomes the series of 1 - exp(-2*q*t); the factor
-    multiplicities are those of the h-factor form.
+    multiplicities are those of the h-factor form.  Index m of the tuple is
+    the coefficient of t^m.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    product = TruncatedSeries.one(order)
+    product = (1,) + (0,) * order
     for q in range(1, n):
-        product = product * series_one_minus_exp(q, order) ** (n - q)
-    return product
+        factor = series_one_minus_exp(q, order)
+        for _ in range(n - q):
+            product = _truncated_product(product, factor)
+    return tuple(Fraction(c) for c in product)
 
 
 def leading_term(n: int) -> LeadingTerm:
@@ -189,14 +205,10 @@ def leading_term(n: int) -> LeadingTerm:
     coefficient = superfactorial(n - 1) * 2 ** target
     series = series_determinant(n, target)
     for m in range(target):
-        if series.coefficient(m) != 0:
-            raise ArithmeticError(
-                f"series has unexpected coefficient {series.coefficient(m)} at t^{m}"
-            )
-    if series.coefficient(target) != coefficient:
-        raise ArithmeticError(
-            f"series leading coefficient {series.coefficient(target)} != {coefficient}"
-        )
+        if series[m] != 0:
+            raise ArithmeticError(f"series has unexpected coefficient {series[m]} at t^{m}")
+    if series[target] != coefficient:
+        raise ArithmeticError(f"series leading coefficient {series[target]} != {coefficient}")
     return LeadingTerm(coefficient, target, n * (n - 1))
 
 

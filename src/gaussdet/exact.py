@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial, rational-function, and truncated-series arithmetic.
+"""Exact scalar, polynomial, and rational-function arithmetic, and exact series coefficients.
 
 Everything in this module is exact and immutable:
 
@@ -6,8 +6,8 @@ Everything in this module is exact and immutable:
   ``BigRational``);
 * ``EtaPoly`` is a dense univariate polynomial in the formal variable eta;
 * ``EtaRatFunc`` is a reduced quotient of two such polynomials;
-* ``TruncatedSeries`` is a power series in a single variable t, cut off at a
-  fixed order.
+* ``series_one_minus_exp`` gives the coefficients of a power series in a
+  single variable t, cut off at a fixed order, as a tuple.
 
 All operations are pure functions over immutable values, so concurrent use
 needs no locking.  Internally, integral scalars may be stored as plain
@@ -46,7 +46,7 @@ def _exact_ratio(a: Scalar, b: Scalar) -> Scalar:
     return _canon_scalar(Fraction(a) / Fraction(b))
 
 
-def _render_terms(terms: Iterable[tuple[int, Scalar]], var: str) -> str:
+def _render_terms(terms: Iterable[tuple[int, Scalar]]) -> str:
     """Render (exponent, nonzero coefficient) pairs in ascending-exponent text form."""
     chunks: list[str] = []
     for exp, c in terms:
@@ -55,7 +55,7 @@ def _render_terms(terms: Iterable[tuple[int, Scalar]], var: str) -> str:
         if exp == 0:
             body = str(mag)
         else:
-            power = var if exp == 1 else f"{var}^{exp}"
+            power = ETA_VARIABLE if exp == 1 else f"{ETA_VARIABLE}^{exp}"
             body = power if mag == 1 else f"{mag}*{power}"
         if not chunks:
             chunks.append(f"-{body}" if neg else body)
@@ -266,7 +266,7 @@ class EtaPoly:
         return hash(self._coeffs)
 
     def __str__(self) -> str:
-        return _render_terms(self.terms(), ETA_VARIABLE)
+        return _render_terms(self.terms())
 
     def __repr__(self) -> str:
         return f"EtaPoly({self})"
@@ -452,122 +452,8 @@ _ZERO_POLY = EtaPoly()
 _ONE_POLY = EtaPoly((1,))
 
 
-class TruncatedSeries:
-    """Power series in t with exact coefficients, truncated at a fixed order.
-
-    Index m of the coefficient tuple is the power t^m, and the tuple always
-    has length order + 1 (trailing zeros are meaningful here, unlike
-    EtaPoly).  Binary arithmetic truncates to the smaller operand's order.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar]) -> None:
-        cs = tuple(_canon_scalar(c) for c in coeffs)
-        if not cs:
-            raise ValueError("a series needs at least a constant term")
-        self._coeffs = cs
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,) + (0,) * order)
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self._coeffs)
-
-    def coefficient(self, power: int) -> Fraction:
-        if not 0 <= power <= self.order:
-            raise IndexError(f"power {power} outside truncation order {self.order}")
-        return Fraction(self._coeffs[power])
-
-    def leading(self) -> tuple[int, Fraction] | None:
-        """Lowest-power nonzero term as (power, coefficient), or None if all zero."""
-        for m, c in enumerate(self._coeffs):
-            if c:
-                return m, Fraction(c)
-        return None
-
-    @staticmethod
-    def _coerce(value) -> "TruncatedSeries | None":
-        if isinstance(value, TruncatedSeries):
-            return value
-        return None
-
-    def __add__(self, other):
-        other = TruncatedSeries._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return TruncatedSeries(self._coeffs[k] + other._coeffs[k] for k in range(n))
-
-    def __neg__(self):
-        return TruncatedSeries(-c for c in self._coeffs)
-
-    def __sub__(self, other):
-        other = TruncatedSeries._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(c * other for c in self._coeffs)
-        other = TruncatedSeries._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        out: list[Scalar] = [0] * n
-        for i, ci in enumerate(self._coeffs[:n]):
-            if ci:
-                for j in range(n - i):
-                    cj = other._coeffs[j]
-                    if cj:
-                        out[i + j] += ci * cj
-        return TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series power must be a nonnegative integer")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
-
-    def __eq__(self, other) -> bool:
-        other = TruncatedSeries._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __str__(self) -> str:
-        body = _render_terms(((m, c) for m, c in enumerate(self._coeffs) if c), "t")
-        return f"{body} + O(t^{self.order + 1})"
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self})"
-
-
-def series_one_minus_exp(x: int, order: int) -> TruncatedSeries:
-    """Series of 1 - exp(-2*x*t), truncated at the given order.
+def series_one_minus_exp(x: int, order: int) -> tuple[Fraction, ...]:
+    """Coefficients of 1 - exp(-2*x*t) up to t^order (index = power of t).
 
     The constant term is zero and the coefficient of t^m is -(-2x)^m / m!,
     so the linear term is 2x*t.
@@ -576,9 +462,9 @@ def series_one_minus_exp(x: int, order: int) -> TruncatedSeries:
         raise ValueError(f"x must be an integer >= 1, got {x!r}")
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    coeffs: list[Scalar] = [0]
+    coeffs = [Fraction(0)]
     power = 1
     for m in range(1, order + 1):
         power *= -2 * x
-        coeffs.append(_canon_scalar(Fraction(-power, math.factorial(m))))
-    return TruncatedSeries(coeffs)
+        coeffs.append(Fraction(-power, math.factorial(m)))
+    return tuple(coeffs)

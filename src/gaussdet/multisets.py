@@ -94,15 +94,6 @@ class SignedMultiset:
         """Flip every multiplicity; union with the result cancels exactly."""
         return SignedMultiset.from_counts({e: -m for e, m in self._mult.items()})
 
-    def negate_elements(self) -> "SignedMultiset":
-        """Map each element e to -e, keeping multiplicities.
-
-        This is the literal reading of the (-1)-scaling notation; the
-        identity engine itself uses ``negate`` (multiplicity negation), the
-        reading under which the lifting step and MI6 cancellation hold.
-        """
-        return SignedMultiset.from_counts({-e: m for e, m in self._mult.items()})
-
     def difference(self, other: "SignedMultiset") -> "SignedMultiset":
         """self with other formally subtracted; empty iff the two are equal."""
         return self.union(other.negate())

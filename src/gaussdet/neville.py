@@ -1,7 +1,7 @@
 """Gaussian-covariance matrices and stage-by-stage pivot-free elimination.
 
 The matrix under study has entries eta^((i-j)^2) for evenly spaced points
-(the common variance factor is carried as metadata, never multiplied in).
+(the common variance factor sigma_z^2 is not an input: this is V / sigma_z^2).
 Elimination proceeds without pivoting: stage s+1 subtracts, from every entry
 with row and column beyond s, the product of its row's and column's stage-s
 entries over the stage-s pivot.  Every stage is recorded so the trace can be
@@ -22,7 +22,7 @@ from .exact import EtaPoly, EtaRatFunc
 
 Entry = Union[int, Fraction, EtaRatFunc]
 
-# Largest matrix size the Leibniz oracle accepts by default: 8! = 40,320 terms.
+# Largest matrix size the Leibniz oracle accepts: 8! = 40,320 terms.
 ORACLE_MAX_N = 8
 
 
@@ -36,17 +36,14 @@ class ZeroPivotError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CovarianceParams:
-    """Size and scale of the covariance matrix; eta_value=None means symbolic."""
+    """Size of the covariance matrix and its eta; eta_value=None means symbolic."""
 
     n: int
-    sigma_z_sq: Fraction = Fraction(1)
     eta_value: Fraction | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if self.sigma_z_sq <= 0:
-            raise ValueError(f"sigma_z_sq must be positive, got {self.sigma_z_sq}")
         if self.eta_value is not None and not 0 < self.eta_value < 1:
             raise ValueError(f"eta_value must lie in (0, 1), got {self.eta_value}")
 
@@ -130,9 +127,8 @@ class EliminationTrace:
 def build_covariance(params: CovarianceParams) -> SymMatrix:
     """The scaled covariance matrix with entry (i, j) = eta^((i-j)^2).
 
-    Symbolic when params.eta_value is None, exact numeric otherwise.  The
-    variance scale sigma_z_sq stays in params; the full determinant is
-    sigma_z_sq^n times the determinant of the matrix built here.
+    Symbolic when params.eta_value is None, exact numeric otherwise.  This is
+    V / sigma_z^2; the full determinant is sigma_z^(2n) times its determinant.
     """
     n = params.n
     if params.eta_value is None:
@@ -181,15 +177,14 @@ def diagonal_product(trace: EliminationTrace) -> Entry:
     return product
 
 
-def brute_force_det(v: SymMatrix, bound: int = ORACLE_MAX_N) -> Entry:
+def brute_force_det(v: SymMatrix) -> Entry:
     """Leibniz-sum determinant: exact, O(n!), independent of elimination.
 
-    The factorial cost is capped by ``bound``; raise it explicitly when a
-    larger oracle run is intended.
+    The factorial cost is capped at ORACLE_MAX_N.
     """
     n = v.size
-    if n > bound:
-        raise ValueError(f"matrix size {n} exceeds the Leibniz oracle bound {bound}")
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"matrix size {n} exceeds the Leibniz oracle limit {ORACLE_MAX_N}")
     rows = v.rows
     first = rows[0][0]
     total = first - first  # additive zero of the entry field

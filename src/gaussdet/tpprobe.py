@@ -16,11 +16,13 @@ single minor from scratch by fraction-free (Bareiss) elimination over
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-DEFAULT_BOUND = 8
+# Largest n the sweep accepts: C(2n, n) - 1 minors, 12,869 at n = 8.
+MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -140,16 +142,20 @@ def _laplace_minors(matrix: Sequence[Sequence[int]]):
         prev = cur
 
 
-def all_minors_positive(n: int, eta_value, bound: int = DEFAULT_BOUND) -> TpReport:
+def all_minors_positive(n: int, eta_value) -> TpReport:
     """Evaluate every square minor exactly and report positivity and the minimum.
 
     The minimum's ties are broken by lexicographic (rows, cols) order, so the
-    report is independent of evaluation schedule.
+    report is independent of evaluation schedule.  A size above MAX_N is
+    refused before any minor is evaluated.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if n > bound:
-        raise ValueError(f"n = {n} exceeds the configured bound {bound}")
+    if n > MAX_N:
+        raise ValueError(
+            f"n = {n} would evaluate C({2 * n}, {n}) - 1 = {math.comb(2 * n, n) - 1:,} minors; "
+            f"the all-minors probe is limited to n <= {MAX_N}"
+        )
     eta = _validate_eta(eta_value)
     p, q = eta.numerator, eta.denominator
     # With eta = p/q, eta^((i-j)^2) = eta^(i^2) * eta^(j^2) * (q/p)^(2ij), so scaling

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+import re
+from fractions import Fraction
 
 import pytest
 
-from gaussdet import cli
+from gaussdet import cli, closedform, tpprobe
 
 
 @pytest.fixture()
@@ -153,6 +155,32 @@ def test_leading_term_rejects_one_point(run):
     assert "n" in err
 
 
+@pytest.mark.parametrize(
+    "power, value, message",
+    [
+        (5, Fraction(1, 7), "series has unexpected coefficient 1/7 at t^5"),
+        (6, Fraction(769), "series leading coefficient 769 != 768"),
+    ],
+    ids=["below-leading", "at-leading"],
+)
+def test_series_oracle_fails_closed(run, monkeypatch, power, value, message):
+    # n = 4: the series must vanish below t^6 and read SF(3) * 2^6 = 768 there
+    real = closedform.series_determinant
+
+    def tampered(n, order):
+        series = list(real(n, order))
+        series[power] = value
+        return tuple(series)
+
+    monkeypatch.setattr(closedform, "series_determinant", tampered)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        closedform.leading_term(4)
+    code, report = run_json(run, "leading-term", "--n", "4")
+    assert code == 1
+    assert report["outcome"] == "fail"
+    assert report["details"] == {"n": 4, "error": message}
+
+
 # -- multiset ----------------------------------------------------------------------
 
 
@@ -215,6 +243,20 @@ def test_tp_check_validates_eta(run):
     assert run("tp-check", "--n", "3", "--eta", "0")[0] == 2
     assert run("tp-check", "--n", "3", "--eta", "abc")[0] == 2
     assert run("tp-check", "--n", "3")[0] == 2
+
+
+def test_tp_check_above_the_limit_is_refused_before_work(run, monkeypatch):
+    def no_work(matrix):
+        raise AssertionError("minors were evaluated")
+
+    monkeypatch.setattr(tpprobe, "_laplace_minors", no_work)
+    code, report = run_json(run, "tp-check", "--n", "9", "--eta", "1/2")
+    assert code == 2
+    assert report["outcome"] == "error"
+    assert report["details"]["error"] == (
+        "n = 9 would evaluate C(18, 9) - 1 = 48,619 minors; "
+        "the all-minors probe is limited to n <= 8"
+    )
 
 
 # -- envelope, formats, determinism ---------------------------------------------------

@@ -16,7 +16,7 @@ from gaussdet.closedform import (
     superfactorial,
     verify_closed_form,
 )
-from gaussdet.exact import EtaPoly, poly_h
+from gaussdet.exact import EtaPoly, poly_h, series_one_minus_exp
 from gaussdet.neville import (
     CovarianceParams,
     brute_force_det,
@@ -240,10 +240,22 @@ def test_leading_term_rejects_small_n_and_order():
 def test_series_product_confirms_leading_term(n):
     target = n * (n - 1) // 2
     series = series_determinant(n, target + 2)
+    assert len(series) == target + 3
     for m in range(target):
-        assert series.coefficient(m) == 0
-    assert series.coefficient(target) == superfactorial(n - 1) * 2 ** target
+        assert series[m] == 0
+    assert series[target] == superfactorial(n - 1) * 2 ** target
 
 
 def test_series_determinant_n_one_is_one():
-    assert series_determinant(1, 4).coefficients == (1, 0, 0, 0, 0)
+    assert series_determinant(1, 4) == (1, 0, 0, 0, 0)
+    assert all(isinstance(c, Fraction) for c in series_determinant(3, 4))
+
+
+@pytest.mark.parametrize("n, order", [(2, 1), (3, 5), (4, 9), (5, 4)])
+def test_series_determinant_is_the_truncated_polynomial_product(n, order):
+    # the same product in exact polynomial arithmetic, cut off only at the end
+    full = EtaPoly.one()
+    for q in range(1, n):
+        full = full * EtaPoly(series_one_minus_exp(q, order)) ** (n - q)
+    expected = tuple(full.coefficient(m) for m in range(order + 1))
+    assert series_determinant(n, order) == expected

@@ -105,11 +105,6 @@ def test_negate_flips_multiplicities():
     assert SignedMultiset.from_counts({5: -2}).negate() == SignedMultiset.from_counts({5: 2})
 
 
-def test_negate_elements_is_the_literal_reading():
-    assert mset(0, 2).negate_elements() == SignedMultiset.from_counts({0: 1, -2: 1})
-    assert mset(1, 1).negate_elements().count(-1) == 2
-
-
 def test_union_with_negation_cancels_exactly():
     ms = enumerate_simplex(SimplexSpec(3, 1, 2, 1, 4))
     assert not ms.union(ms.negate())

@@ -38,8 +38,6 @@ def mono(k):
     [
         dict(n=0),
         dict(n=-2),
-        dict(n=3, sigma_z_sq=Fraction(0)),
-        dict(n=3, sigma_z_sq=Fraction(-1)),
         dict(n=3, eta_value=Fraction(1)),
         dict(n=3, eta_value=Fraction(0)),
         dict(n=3, eta_value=Fraction(3, 2)),
@@ -160,11 +158,9 @@ def test_brute_force_small_cases():
 
 
 def test_brute_force_respects_size_bound():
-    with pytest.raises(ValueError):
-        brute_force_det(symbolic(4), bound=3)
-    assert brute_force_det(symbolic(4), bound=4) == diagonal_product(
-        neville_eliminate(symbolic(4))
-    )
+    with pytest.raises(ValueError, match="exceeds the Leibniz oracle limit 8"):
+        brute_force_det(symbolic(9))
+    assert brute_force_det(symbolic(4)) == diagonal_product(neville_eliminate(symbolic(4)))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

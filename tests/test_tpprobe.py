@@ -165,16 +165,9 @@ def test_all_minors_positive_validation():
     with pytest.raises(ValueError):
         all_minors_positive(0, HALF)
     with pytest.raises(ValueError):
-        all_minors_positive(9, HALF)  # default bound is 8
+        all_minors_positive(9, HALF)  # MAX_N is 8
     with pytest.raises(ValueError):
         all_minors_positive(3, Fraction(7, 5))
-
-
-def test_bound_is_a_knob_not_a_hard_limit():
-    report = all_minors_positive(3, HALF, bound=3)
-    assert report.minors_checked == 19
-    with pytest.raises(ValueError):
-        all_minors_positive(4, HALF, bound=3)
 
 
 # -- Laplace kernel against the Bareiss oracle ------------------------------------
