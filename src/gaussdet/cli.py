@@ -52,6 +52,8 @@ EXIT_USAGE = 2
 # first and last n of each --sweep; GAUSSDET_MAX_N lowers the last
 SWEEP_NS = {"verify-u": (1, 10), "verify-det": (1, 10), "leading-term": (2, 8), "tp-check": (1, 7)}
 TP_SWEEP_ETAS = ("1/10", "1/4", "1/2", "3/4", "9/10")
+LIFT_GRID = tuple((w, i, j) for w in range(2, 6) for i in range(w + 1, w + 6)
+                  for j in range(w + 1, w + 6))
 DEFAULT_ORACLE_BOUND = 6
 
 
@@ -385,17 +387,15 @@ def _cmd_verify_all(args) -> tuple[str, dict]:
         record(f"multiset {identity} grid", not failures, instances=instances,
                **({"failures": failures} if failures else {}))
 
-    lift_grid = [(w, i, j) for w in range(2, 6) for i in range(w + 1, w + 6)
-                 for j in range(w + 1, w + 6)]
     lift_failure = None
-    for w, i, j in lift_grid:
+    for w, i, j in LIFT_GRID:
         try:
             lift_duality(w, i, j)
         except LiftDualityError as exc:
             if lift_failure is None:
                 lift_failure = {"w": exc.w, "i": exc.i, "j": exc.j,
                                 "difference": str(exc.difference)}
-    record("lift-duality w=2..5", lift_failure is None, instances=len(lift_grid),
+    record("lift-duality w=2..5", lift_failure is None, instances=len(LIFT_GRID),
            **({"counterexample": lift_failure} if lift_failure else {}))
 
     for good, entry in _tp_sweep(_sweep_ns("tp-check")):

@@ -95,11 +95,12 @@ def _u_value(s: int, i: int, j: int) -> EtaPoly:
         return value
     for x in range(1, s):
         value = value * poly_h(j - x)
-    exponents = enumerate_simplex(SimplexSpec(s - 1, 0, j - s + 1, 1, i - s + 1))
-    powers = EtaPoly.zero()
-    for e, mult in exponents.items():
-        powers = powers + EtaPoly.monomial(2 * e, mult)
-    return value * powers
+    exponents = enumerate_simplex(SimplexSpec(s - 1, 0, j - s + 1, 1, i - s + 1)).items()
+    # the sum of eta^(2e) over the multiset, as one dense coefficient list
+    powers = [0] * (2 * exponents[-1][0] + 1)
+    for e, mult in exponents:
+        powers[2 * e] = mult
+    return value * EtaPoly(powers)
 
 
 @dataclass(frozen=True)

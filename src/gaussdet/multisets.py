@@ -1,11 +1,14 @@
 """Signed integer multisets and the simplicial multiset family.
 
 A simplicial multiset collects the weighted L1 distances from a simplex apex
-to the points of a commensurately aligned lattice; they are what the nested
-eta-power sums of the elimination stages enumerate.  The multiset identities
-MI1 through MI6 relate such multisets across parameters, and MI6 (the
-inter-dimensional duality) is the lifting step that drives the closed-form
-induction, mechanized here by ``lift_duality``.
+to the points of a commensurately aligned lattice; they are the exponents of
+the nested eta-power sums of the elimination stages.  ``enumerate_simplex``
+counts them rather than listing them: the nested coordinates are partitions
+in a box, whose numbers by sum follow the q-Pascal recurrence of the Gaussian
+binomials.  The multiset identities MI1 through MI6 relate such multisets
+across parameters, and MI6 (the inter-dimensional duality) is the lifting
+step that drives the closed-form induction, mechanized here by
+``lift_duality``.
 
 Multiplicities may be negative, which is what makes the formal cancellation
 in the lifting step expressible: ``negate`` flips multiplicities, and a
@@ -161,32 +164,38 @@ class SimplexSpec:
 
 
 def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
-    """Expand a spec into its multiset of alpha + beta*k + k' + ... values.
+    """The multiset of alpha + beta*k + k' + ... values over a spec's lattice points.
 
-    All multiplicities are positive; the enumeration order is ascending
-    lexicographic in the coordinates, but the multiset itself is order-free.
+    Multiplicities are counted, not listed: the chains k >= k' >= ... >= 0
+    are partitions in a box, and the number with each sum obeys the q-Pascal
+    recurrence of the Gaussian binomials, so the cost is the count table
+    (about (n*delta)^2 additions), not the cardinality C(k+n-1, n-1) per k.
+    All multiplicities are positive.
     """
-    return SignedMultiset(_values(spec))
-
-
-def _values(spec: SimplexSpec) -> Iterator[int]:
-    for k in range(spec.gamma - 1, spec.delta):
-        base = spec.alpha + spec.beta * k
-        if spec.n == 1:
-            yield base
+    # epsilon pins k' to k, which leaves a chain one coordinate shorter;
+    # with one coordinate there is no k' to pin or stop short
+    pinned = spec.epsilon if spec.n > 1 else 0
+    depth = spec.n - 1 - pinned
+    # chains[d] is P_d(b), by sum, for the chains b >= v_1 >= ... >= v_d >= 0;
+    # before the first step b = -1, where only the empty chain (d = 0) exists
+    chains: list[list[int]] = [[1]] + [[] for _ in range(depth)]
+    counts: dict[int, int] = {}
+    for k in range(spec.delta):
+        before_step = chains[depth]
+        for d in range(1, depth + 1):
+            # P_d(k) = P_d(k - 1) + x^k * P_{d-1}(k): either v_1 < k or v_1 = k;
+            # P_d(k - 1) is at least k long once k >= 1, and empty at k = 0
+            lower, upper = chains[d], chains[d - 1]
+            overlap = lower[k:]
+            chains[d] = lower[:k] + [x + y for x, y in zip(overlap, upper)] + upper[len(overlap):]
+        # tail: how many choices of the coordinates after k have each sum;
+        # zeta stops k' at k - 1, so its chains are those from before the step
+        tail = before_step if spec.zeta else chains[depth]
+        if k < spec.gamma - 1:
             continue
-        start = spec.epsilon * k
-        stop = k - spec.zeta
-        for kp in range(start, stop + 1):
-            yield from _nested(base + kp, kp, spec.n - 2)
-
-
-def _nested(acc: int, bound: int, depth: int) -> Iterator[int]:
-    if depth == 0:
-        yield acc
-        return
-    for v in range(bound + 1):
-        yield from _nested(acc + v, v, depth - 1)
+        for e, m in enumerate(tail, spec.alpha + spec.beta * k + pinned * k):
+            counts[e] = counts.get(e, 0) + m
+    return SignedMultiset.from_counts(counts)
 
 
 @dataclass(frozen=True)
@@ -291,6 +300,11 @@ _IDENTITIES = {
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
+# ceiling on one identity instance's estimated count-table additions, the sum
+# of (n * delta)^2 over its terms; every instance with n <= 9 and delta <= 12,
+# which holds the benchmark and test grids, stays below 50,000
+MAX_TABLE_COST = 10_000_000
+
 
 def identity_param_names(identity: str) -> tuple[str, ...]:
     if identity not in _IDENTITIES:
@@ -301,9 +315,11 @@ def identity_param_names(identity: str) -> tuple[str, ...]:
 def verify_identity(identity: str, params: Sequence[int]) -> IdentityReport:
     """Instantiate both sides of a named identity and compare them exactly.
 
-    Each side is rebuilt from raw enumerations (never from another identity),
-    so a bug in one identity cannot mask a bug in another.  Unequal sides
-    yield a report carrying the symmetric difference as the counterexample.
+    Each side is built from per-spec counts, never from another identity, so
+    a bug in one identity cannot mask a bug in another.  Unequal sides yield
+    a report carrying the symmetric difference as the counterexample.  An
+    instance whose terms would cost more than MAX_TABLE_COST table additions
+    is refused with ValueError before any term is counted.
     """
     names = identity_param_names(identity)
     if len(params) != len(names):
@@ -316,6 +332,12 @@ def verify_identity(identity: str, params: Sequence[int]) -> IdentityReport:
         if not pred(env):
             raise SideConditionError(f"{identity} requires {label}; got {env}")
     lhs_terms, rhs_terms = build(**env)
+    cost = sum((term[0] * term[4]) ** 2 for term in lhs_terms + rhs_terms)
+    if cost > MAX_TABLE_COST:
+        raise ValueError(
+            f"{identity} at {tuple(params)} would take about {cost:,} count-table additions "
+            f"(the sum of (n * delta)^2 over its terms); the limit is {MAX_TABLE_COST:,}"
+        )
     lhs = _union_all(lhs_terms)
     rhs = _union_all(rhs_terms)
     diff = lhs.difference(rhs)

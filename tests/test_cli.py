@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaussdet import cli, closedform, tpprobe
+from gaussdet import cli, closedform, multisets, tpprobe
 
 
 @pytest.fixture()
@@ -226,6 +226,29 @@ def test_multiset_sweep_runs_the_full_grid(run):
     assert details["failures"] == []
 
 
+def test_multiset_above_the_limit_is_refused_before_work(run, monkeypatch):
+    def no_work(spec):
+        raise AssertionError("a term was counted")
+
+    monkeypatch.setattr(multisets, "enumerate_simplex", no_work)
+    code, report = run_json(run, "multiset", "--identity", "MI1", "--params", "100,0,1,100")
+    assert code == 2
+    assert report["outcome"] == "error"
+    # terms (100, 0, 1, 1, 100), (100, 0, 1, 1, 99), (100, 0, 1, 100, 100)
+    cost = 10_000 ** 2 + 9_900 ** 2 + 10_000 ** 2
+    assert report["details"]["error"] == (
+        f"MI1 at (100, 0, 1, 100) would take about {cost:,} count-table additions "
+        "(the sum of (n * delta)^2 over its terms); the limit is 10,000,000"
+    )
+
+
+def test_multiset_below_the_limit_runs(run):
+    # 4,320,000 estimated additions over three terms; listing them would take ~10^19 elements
+    code, report = run_json(run, "multiset", "--identity", "MI1", "--params", "30,0,1,40")
+    assert code == 0
+    assert report["details"]["equal"] is True
+
+
 # -- tp-check ----------------------------------------------------------------------
 
 
@@ -306,6 +329,23 @@ def report_digest(out):
 )
 def test_sweep_reports_are_pinned(run, argv, digest):
     code, out, _ = run(*argv, "--format", "json")
+    assert code == 0
+    assert report_digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "identity, params, digest",
+    [
+        ("MI6", "8,6,12", "a43540afcdfa84a2"),
+        ("MI1", "8,3,6,12", "be8b3d96f4784ffa"),
+        ("MI2", "8,2,12", "85b7bed0c015b5d2"),
+        ("MI3", "8,4,12", "407b8e21318bcd77"),
+        ("MI5", "8,5,12", "61bd16fb07147f19"),
+    ],
+)
+def test_large_multiset_reports_are_pinned(run, identity, params, digest):
+    # each report prints both full sides, so any changed count or order shows
+    code, out, _ = run("multiset", "--identity", identity, "--params", params, "--format", "json")
     assert code == 0
     assert report_digest(out) == digest
 

@@ -1,10 +1,12 @@
-"""Simplicial multiset enumeration, signed-multiset algebra, and the identities."""
+"""Simplicial multiset counts, signed-multiset algebra, and the identities."""
 
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gaussdet import cli, multisets
 from gaussdet.multisets import (
     IDENTITY_NAMES,
     LiftDualityError,
@@ -23,6 +25,88 @@ def mset(*elements):
 
 
 FIG1 = mset(0, 2, 3, 4, 5, 6, 6, 7, 8, 9)
+
+
+def literal_simplex(spec):
+    """The simplicial multiset listed one lattice point at a time.
+
+    The reference for the counted ``enumerate_simplex``: k runs from gamma-1
+    to delta-1, k' over its epsilon/zeta range, and each deeper coordinate
+    from 0 to its predecessor.  Reads only the spec's fields, so it also
+    takes the empty range delta = gamma - 1 that SimplexSpec refuses.
+    """
+
+    def nested(acc, bound, depth):
+        if depth == 0:
+            yield acc
+            return
+        for v in range(bound + 1):
+            yield from nested(acc + v, v, depth - 1)
+
+    def values():
+        for k in range(spec.gamma - 1, spec.delta):
+            base = spec.alpha + spec.beta * k
+            if spec.n == 1:
+                yield base
+                continue
+            for kp in range(spec.epsilon * k, k - spec.zeta + 1):
+                yield from nested(base + kp, kp, spec.n - 2)
+
+    return SignedMultiset(values())
+
+
+# -- counting against the literal enumeration -----------------------------------------
+
+
+def test_counts_equal_the_literal_enumeration_on_the_shipped_grids(monkeypatch):
+    terms = set()
+    real_term = multisets._term
+
+    def recording(n, alpha, beta, gamma, delta, epsilon=0, zeta=0):
+        terms.add((n, alpha, beta, gamma, delta, epsilon, zeta))
+        return real_term(n, alpha, beta, gamma, delta, epsilon, zeta)
+
+    monkeypatch.setattr(multisets, "_term", recording)
+    for identity in IDENTITY_NAMES:
+        assert cli._identity_sweep(identity)[1] == []
+    for w, i, j in cli.LIFT_GRID:
+        lift_duality(w, i, j)
+    fields = ("n", "alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+    specs = {term: SimpleNamespace(**dict(zip(fields, term))) for term in terms}
+    # the grids reach the pinned and the empty first-coordinate cases; no
+    # identity uses zeta = 1, which the exhaustive small grid below covers
+    assert any(spec.epsilon for spec in specs.values())
+    assert any(spec.delta == spec.gamma - 1 for spec in specs.values())
+    for term, spec in specs.items():
+        assert real_term(*term) == literal_simplex(spec), term
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SimplexSpec(9, 0, 6, 1, 12),
+        # the four terms of MI6 at (n, beta, delta) = (8, 6, 12)
+        SimplexSpec(8, 0, 6, 1, 12),
+        SimplexSpec(9, 5, 5, 1, 11),
+        SimplexSpec(9, 0, 5, 1, 11),
+        SimplexSpec(8, 55, 1, 1, 12),
+        SimplexSpec(9, 0, 6, 1, 12, zeta=1),
+        SimplexSpec(9, 3, 2, 5, 12, epsilon=1),
+    ],
+)
+def test_counts_equal_the_literal_enumeration_on_large_specs(spec):
+    assert enumerate_simplex(spec) == literal_simplex(spec)
+
+
+def test_counts_equal_the_literal_enumeration_on_every_small_spec():
+    for n in range(1, 6):
+        for alpha in (0, 2):
+            for beta in range(4):
+                for delta in range(1, 6):
+                    for gamma in range(1, delta + 1):
+                        for epsilon, zeta in ((0, 0), (1, 0), (0, 1)):
+                            spec = SimplexSpec(n, alpha, beta, gamma, delta, epsilon, zeta)
+                            assert enumerate_simplex(spec) == literal_simplex(spec), spec
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -56,11 +140,17 @@ def test_enumerate_zeta_shortens_second_coordinate():
     assert enumerate_simplex(SimplexSpec(2, 0, 3, 1, 3, zeta=1)) == mset(3, 6, 7)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("delta", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("delta", range(1, 13))
 def test_cardinality_matches_simplex_lattice_count(n, delta):
     ms = enumerate_simplex(SimplexSpec(n, 0, 1, 1, delta))
     assert ms.total() == comb(delta - 1 + n, n)
+    if n >= 2:
+        # epsilon = 1 leaves n - 2 coordinates under k; zeta = 1 bounds n - 1 by k - 1
+        pinned = enumerate_simplex(SimplexSpec(n, 0, 1, 1, delta, epsilon=1))
+        assert pinned.total() == sum(comb(k + n - 2, n - 2) for k in range(delta))
+        shortened = enumerate_simplex(SimplexSpec(n, 0, 1, 1, delta, zeta=1))
+        assert shortened.total() == sum(comb(k + n - 2, n - 1) for k in range(delta))
 
 
 @pytest.mark.parametrize(
