@@ -5,7 +5,6 @@ simplicial multiset identities behind them, and an exhaustive minor
 positivity probe."""
 
 from .exact import (
-    BigRational,
     EtaPoly,
     EtaRatFunc,
     poly_gcd,
@@ -25,7 +24,6 @@ from .multisets import (
     verify_identity,
 )
 from .neville import (
-    CovarianceParams,
     EliminationTrace,
     SymMatrix,
     ZeroPivotError,
@@ -36,7 +34,6 @@ from .neville import (
 )
 from .closedform import (
     AgreementReport,
-    ClosedFormElement,
     FactoredDeterminant,
     LeadingTerm,
     ai1_grid_holds,
@@ -55,7 +52,6 @@ from .tpprobe import MinorIndex, TpReport, all_minors_positive, minor_value
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "EtaPoly",
     "EtaRatFunc",
     "poly_gcd",
@@ -71,7 +67,6 @@ __all__ = [
     "identity_param_names",
     "lift_duality",
     "verify_identity",
-    "CovarianceParams",
     "EliminationTrace",
     "SymMatrix",
     "ZeroPivotError",
@@ -80,7 +75,6 @@ __all__ = [
     "diagonal_product",
     "neville_eliminate",
     "AgreementReport",
-    "ClosedFormElement",
     "FactoredDeterminant",
     "LeadingTerm",
     "ai1_grid_holds",

@@ -34,7 +34,6 @@ from .multisets import (
 )
 from .neville import (
     ORACLE_MAX_N,
-    CovarianceParams,
     brute_force_det,
     build_covariance,
     diagonal_product,
@@ -51,6 +50,10 @@ EXIT_USAGE = 2
 
 # first and last n of each --sweep; GAUSSDET_MAX_N lowers the last
 SWEEP_NS = {"verify-u": (1, 10), "verify-det": (1, 10), "leading-term": (2, 8), "tp-check": (1, 7)}
+# largest --n of the symbolic commands, whose cost grows steeply with n;
+# GAUSSDET_MAX_N may only lower it
+SYMBOLIC_MAX_N = 20
+SYMBOLIC_COMMANDS = ("verify-u", "verify-det", "leading-term")
 TP_SWEEP_ETAS = ("1/10", "1/4", "1/2", "3/4", "9/10")
 LIFT_GRID = tuple((w, i, j) for w in range(2, 6) for i in range(w + 1, w + 6)
                   for j in range(w + 1, w + 6))
@@ -88,7 +91,10 @@ def _require_n(args) -> int:
         raise ValueError("--n is required (or use --sweep)")
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    return _check_cap(args.n)
+    n = _check_cap(args.n)
+    if args.command in SYMBOLIC_COMMANDS and n > SYMBOLIC_MAX_N:
+        raise ValueError(f"n = {n} exceeds the {args.command} limit n <= {SYMBOLIC_MAX_N}")
+    return n
 
 
 def _sweeping(args, *flags: str) -> bool:
@@ -101,7 +107,13 @@ def _sweeping(args, *flags: str) -> bool:
 def _ns(args, *flags: str) -> range:
     """The command's sweep range under --sweep, which refuses --n and the flags; else --n."""
     if _sweeping(args, "n", *flags):
-        return _sweep_ns(args.command)
+        ns = _sweep_ns(args.command)
+        if not ns:
+            first, last = SWEEP_NS[args.command]
+            raise ValueError(
+                f"{MAX_N_ENV} = {_max_n_cap()} leaves no n of the {args.command} sweep {first}..{last}"
+            )
+        return ns
     n = _require_n(args)
     return range(n, n + 1)
 
@@ -201,7 +213,7 @@ def _det_entry(n: int, oracle_bound: int, trace=None) -> tuple[bool, dict]:
     factored = factored_determinant(n)
     expansion = factored.expand()
     if trace is None:
-        trace = neville_eliminate(build_covariance(CovarianceParams(n=n)))
+        trace = neville_eliminate(build_covariance(n))
     diagonal = diagonal_product(trace)
     ok = diagonal == expansion
     entry: dict = {
@@ -367,7 +379,7 @@ def _cmd_verify_all(args) -> tuple[str, dict]:
 
     # verify-u and verify-det alternate on one shared elimination trace per n
     for n in u_ns:
-        trace = neville_eliminate(build_covariance(CovarianceParams(n=n)))
+        trace = neville_eliminate(build_covariance(n))
         good, entry = _u_entry(n, trace=trace)
         record(f"verify-u n={n}", good, **pick(entry, "entries_checked", "first_mismatch"))
         if n in det_ns:
@@ -379,8 +391,8 @@ def _cmd_verify_all(args) -> tuple[str, dict]:
         good, entry = _leading_entry(n)
         record(f"leading-term n={n}", good, **pick(entry, "closed_form", "error"))
 
-    record("ai1-grid |i|,|j|,|n|<=10", ai1_grid_holds(10))
-    record("ai2-grid i<=10, j<=10", ai2_grid_holds(10, 10))
+    record("ai1-grid |i|,|j|,|n|<=10", ai1_grid_holds())
+    record("ai2-grid i<=10, j<=10", ai2_grid_holds())
 
     for identity in IDENTITY_NAMES:
         instances, failures = _identity_sweep(identity)

@@ -16,12 +16,7 @@ from fractions import Fraction
 
 from .exact import EtaPoly, poly_h, series_one_minus_exp
 from .multisets import SimplexSpec, enumerate_simplex
-from .neville import (
-    CovarianceParams,
-    EliminationTrace,
-    build_covariance,
-    neville_eliminate,
-)
+from .neville import EliminationTrace, build_covariance, neville_eliminate
 
 
 def superfactorial(n: int) -> int:
@@ -58,18 +53,8 @@ def check_ai2(i: int, j: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class ClosedFormElement:
-    """Closed form of one elimination-stage entry."""
-
-    s: int
-    i: int
-    j: int
-    value: EtaPoly
-
-
-def closed_form_u(s: int, i: int, j: int, n: int) -> ClosedFormElement:
-    """Stage-s entry (i, j) of the eliminated matrix, from its closed form.
+def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
+    """Stage-s entry (i, j) of the eliminated n x n matrix, from its closed form.
 
     Rows above the stage hold their frozen values; entries left of the stage
     in the active rows are zero; the active block is
@@ -81,7 +66,7 @@ def closed_form_u(s: int, i: int, j: int, n: int) -> ClosedFormElement:
         raise IndexError(f"stage {s} outside 1..{n}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"entry ({i}, {j}) outside 1..{n}")
-    return ClosedFormElement(s, i, j, _u_value(s, i, j))
+    return _u_value(s, i, j)
 
 
 def _u_value(s: int, i: int, j: int) -> EtaPoly:
@@ -235,7 +220,7 @@ def verify_closed_form(n: int, trace: EliminationTrace | None = None) -> Agreeme
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if trace is None:
-        trace = neville_eliminate(build_covariance(CovarianceParams(n=n)))
+        trace = neville_eliminate(build_covariance(n))
     if trace.n != n:
         raise ValueError(f"trace has {trace.n} stages, expected {n}")
     checked = 0
@@ -253,12 +238,12 @@ def verify_closed_form(n: int, trace: EliminationTrace | None = None) -> Agreeme
     return AgreementReport(n, checked, True)
 
 
-def ai1_grid_holds(bound: int = 10) -> bool:
-    """Check AI1 on the full integer cube |i|, |j|, |n| <= bound."""
-    values = range(-bound, bound + 1)
+def ai1_grid_holds() -> bool:
+    """Check AI1 on the full integer cube |i|, |j|, |n| <= 10."""
+    values = range(-10, 11)
     return all(check_ai1(i, j, n) for i in values for j in values for n in values)
 
 
-def ai2_grid_holds(i_max: int = 10, j_max: int = 10) -> bool:
-    """Check AI2 symbolically for 2 <= i <= i_max, 1 <= j <= j_max."""
-    return all(check_ai2(i, j) for i in range(2, i_max + 1) for j in range(1, j_max + 1))
+def ai2_grid_holds() -> bool:
+    """Check AI2 symbolically for 2 <= i <= 10, 1 <= j <= 10."""
+    return all(check_ai2(i, j) for i in range(2, 11) for j in range(1, 11))

@@ -2,8 +2,7 @@
 
 Everything in this module is exact and immutable:
 
-* scalars are arbitrary-precision rationals (``fractions.Fraction``, aliased
-  ``BigRational``);
+* scalars are arbitrary-precision rationals (``fractions.Fraction``);
 * ``EtaPoly`` is a dense univariate polynomial in the formal variable eta;
 * ``EtaRatFunc`` is a reduced quotient of two such polynomials;
 * ``series_one_minus_exp`` gives the coefficients of a power series in a
@@ -20,8 +19,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
-
-BigRational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -102,11 +99,6 @@ class EtaPoly:
     def coefficients(self) -> tuple[Fraction, ...]:
         """Ascending coefficients as Fractions (index = exponent of eta)."""
         return tuple(Fraction(c) for c in self._coeffs)
-
-    def coefficient(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self._coeffs):
-            return Fraction(self._coeffs[exponent])
-        return Fraction(0)
 
     @property
     def degree(self) -> int:

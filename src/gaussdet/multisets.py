@@ -63,24 +63,13 @@ class SignedMultiset:
         ms._mult = {int(e): int(m) for e, m in counts.items() if m}
         return ms
 
-    def count(self, element: int) -> int:
-        return self._mult.get(element, 0)
-
     def items(self) -> tuple[tuple[int, int], ...]:
         """Sorted (element, multiplicity) pairs."""
         return tuple(sorted(self._mult.items()))
 
-    def support(self) -> tuple[int, ...]:
-        """Sorted distinct elements with nonzero multiplicity."""
-        return tuple(sorted(self._mult))
-
     def total(self) -> int:
         """Sum of multiplicities (the cardinality, for ordinary multisets)."""
         return sum(self._mult.values())
-
-    def element_sum(self) -> int:
-        """Sum of element * multiplicity; additive under union."""
-        return sum(e * m for e, m in self._mult.items())
 
     def union(self, other: "SignedMultiset") -> "SignedMultiset":
         """Pointwise sum of multiplicities."""
@@ -130,8 +119,8 @@ class SimplexSpec:
     ``n`` is the number of nested lattice coordinates; ``alpha`` an additive
     constant; ``beta`` the weight of the first coordinate ``k``, which runs
     from gamma-1 to delta-1.  The second coordinate normally runs 0..k;
-    epsilon=1 pins it to exactly k, zeta=1 stops it at k-1 (an empty range
-    when k=0).  Each deeper coordinate runs from 0 to its predecessor.
+    epsilon=1 pins it to exactly k.  Each deeper coordinate runs from 0 to
+    its predecessor.
     """
 
     n: int
@@ -140,7 +129,6 @@ class SimplexSpec:
     gamma: int
     delta: int
     epsilon: int = 0
-    zeta: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -157,10 +145,6 @@ class SimplexSpec:
             raise ValueError(f"gamma <= delta required, got gamma={self.gamma}, delta={self.delta}")
         if self.epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
-        if self.zeta not in (0, 1):
-            raise ValueError(f"zeta must be 0 or 1, got {self.zeta}")
-        if self.epsilon + self.zeta > 1:
-            raise ValueError("epsilon + zeta must be at most 1")
 
 
 def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
@@ -173,7 +157,7 @@ def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
     All multiplicities are positive.
     """
     # epsilon pins k' to k, which leaves a chain one coordinate shorter;
-    # with one coordinate there is no k' to pin or stop short
+    # with one coordinate there is no k' to pin
     pinned = spec.epsilon if spec.n > 1 else 0
     depth = spec.n - 1 - pinned
     # chains[d] is P_d(b), by sum, for the chains b >= v_1 >= ... >= v_d >= 0;
@@ -181,19 +165,16 @@ def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
     chains: list[list[int]] = [[1]] + [[] for _ in range(depth)]
     counts: dict[int, int] = {}
     for k in range(spec.delta):
-        before_step = chains[depth]
         for d in range(1, depth + 1):
             # P_d(k) = P_d(k - 1) + x^k * P_{d-1}(k): either v_1 < k or v_1 = k;
             # P_d(k - 1) is at least k long once k >= 1, and empty at k = 0
             lower, upper = chains[d], chains[d - 1]
             overlap = lower[k:]
             chains[d] = lower[:k] + [x + y for x, y in zip(overlap, upper)] + upper[len(overlap):]
-        # tail: how many choices of the coordinates after k have each sum;
-        # zeta stops k' at k - 1, so its chains are those from before the step
-        tail = before_step if spec.zeta else chains[depth]
         if k < spec.gamma - 1:
             continue
-        for e, m in enumerate(tail, spec.alpha + spec.beta * k + pinned * k):
+        # P_depth(k): how many choices of the coordinates after k have each sum
+        for e, m in enumerate(chains[depth], spec.alpha + spec.beta * k + pinned * k):
             counts[e] = counts.get(e, 0) + m
     return SignedMultiset.from_counts(counts)
 
@@ -210,12 +191,12 @@ class IdentityReport:
     difference: SignedMultiset
 
 
-def _term(n, alpha, beta, gamma, delta, epsilon=0, zeta=0) -> SignedMultiset:
+def _term(n, alpha, beta, gamma, delta, epsilon=0) -> SignedMultiset:
     # delta == gamma - 1 means an empty first-coordinate range: the term is
     # the empty multiset (needed by MI1b/MI2 at the delta = 2 boundary)
     if delta == gamma - 1:
         return SignedMultiset()
-    return enumerate_simplex(SimplexSpec(n, alpha, beta, gamma, delta, epsilon, zeta))
+    return enumerate_simplex(SimplexSpec(n, alpha, beta, gamma, delta, epsilon))
 
 
 def _mi1(n, alpha, beta, delta):
@@ -250,14 +231,14 @@ def _mi2(n, beta, delta):
     lhs = [(n + 1, 0, beta - 1, 1, delta - 1)]
     rhs = [
         (n + 1, beta - 1, beta - 1, 1, delta - 2),
-        (n + 1, 0, beta - 1, 1, delta - 1, 1, 0),
+        (n + 1, 0, beta - 1, 1, delta - 1, 1),
     ]
     return lhs, rhs
 
 
 def _mi3(n, beta, delta):
     lhs = [(n, 0, beta, 1, delta - 1)]
-    rhs = [(n + 1, 0, beta - 1, 1, delta - 1, 1, 0)]
+    rhs = [(n + 1, 0, beta - 1, 1, delta - 1, 1)]
     return lhs, rhs
 
 

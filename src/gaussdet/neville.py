@@ -34,20 +34,6 @@ class ZeroPivotError(ArithmeticError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class CovarianceParams:
-    """Size of the covariance matrix and its eta; eta_value=None means symbolic."""
-
-    n: int
-    eta_value: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if self.eta_value is not None and not 0 < self.eta_value < 1:
-            raise ValueError(f"eta_value must lie in (0, 1), got {self.eta_value}")
-
-
 class SymMatrix:
     """Square matrix of exact entries (rationals or eta rational functions).
 
@@ -75,17 +61,6 @@ class SymMatrix:
         if not (1 <= i <= self.size and 1 <= j <= self.size):
             raise IndexError(f"entry ({i}, {j}) outside 1..{self.size}")
         return self._rows[i - 1][j - 1]
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-        )
-
-    def dump(self) -> str:
-        """Entries in canonical text form, one row per line, columns '|'-separated."""
-        return "\n".join(" | ".join(str(e) for e in row) for row in self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
@@ -118,28 +93,18 @@ class EliminationTrace:
         """The (s, s) entry at stage s, where it has stabilized."""
         return self.stage(s).entry(s, s)
 
-    def dump(self) -> str:
-        """One block per stage, suitable for golden-file comparison."""
-        blocks = [f"Stage {s}:\n{m.dump()}" for s, m in enumerate(self.stages, start=1)]
-        return "\n\n".join(blocks)
 
+def build_covariance(n: int) -> SymMatrix:
+    """The symbolic n x n matrix with entry (i, j) = eta^((i-j)^2).
 
-def build_covariance(params: CovarianceParams) -> SymMatrix:
-    """The scaled covariance matrix with entry (i, j) = eta^((i-j)^2).
-
-    Symbolic when params.eta_value is None, exact numeric otherwise.  This is
-    V / sigma_z^2; the full determinant is sigma_z^(2n) times its determinant.
+    This is V / sigma_z^2; the full determinant is sigma_z^(2n) times its
+    determinant.
     """
-    n = params.n
-    if params.eta_value is None:
-        rows = [
-            [EtaRatFunc(EtaPoly.monomial((i - j) ** 2)) for j in range(n)]
-            for i in range(n)
-        ]
-    else:
-        eta = params.eta_value
-        rows = [[eta ** ((i - j) ** 2) for j in range(n)] for i in range(n)]
-    return SymMatrix(rows)
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return SymMatrix(
+        [[EtaRatFunc(EtaPoly.monomial((i - j) ** 2)) for j in range(n)] for i in range(n)]
+    )
 
 
 def neville_eliminate(v: SymMatrix) -> EliminationTrace:

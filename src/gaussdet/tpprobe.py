@@ -44,10 +44,6 @@ class MinorIndex:
             if idx[0] < 1:
                 raise ValueError(f"{name} must be >= 1, got {idx}")
 
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
     def validate_for(self, n: int) -> None:
         if self.rows[-1] > n or self.cols[-1] > n:
             raise ValueError(f"index sets {self} exceed matrix size {n}")

@@ -30,7 +30,6 @@ from gaussdet.multisets import (
     verify_identity,
 )
 from gaussdet.neville import (
-    CovarianceParams,
     brute_force_det,
     build_covariance,
     diagonal_product,
@@ -43,7 +42,7 @@ TP_ETAS = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Frac
 
 @lru_cache(maxsize=None)
 def symbolic_trace(n):
-    return neville_eliminate(build_covariance(CovarianceParams(n=n)))
+    return neville_eliminate(build_covariance(n))
 
 
 def report(name, ok, extra=""):
@@ -68,7 +67,7 @@ def test_criterion_2_determinant_factorization_three_way():
         expansion = factored_determinant(n).expand()
         ok = ok and diagonal_product(symbolic_trace(n)) == expansion
         if n <= 6:
-            ok = ok and brute_force_det(build_covariance(CovarianceParams(n=n))) == expansion
+            ok = ok and brute_force_det(build_covariance(n)) == expansion
     ok = ok and str(factored_determinant(3).expand()) == "1 - 2*eta^2 + 2*eta^6 - eta^8"
     report("2 determinant factorization (3-way n<=6, 2-way n<=10)", ok)
 
@@ -144,7 +143,7 @@ def test_criterion_6_all_minors_positive():
 
 
 def test_criterion_7_algebraic_identities():
-    ok = ai1_grid_holds(10) and ai2_grid_holds(10, 10)
+    ok = ai1_grid_holds() and ai2_grid_holds()
     report("7 AI1 grid and AI2 symbolic", ok)
 
 

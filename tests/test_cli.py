@@ -26,6 +26,19 @@ def run_json(run, *argv):
     return code, json.loads(out)
 
 
+def forbid_checks(monkeypatch):
+    """Make every check the CLI can start raise, so a refusal is shown to come first."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in ("verify_closed_form", "neville_eliminate", "build_covariance",
+                 "factored_determinant", "brute_force_det", "leading_term",
+                 "verify_identity", "lift_duality", "all_minors_positive",
+                 "ai1_grid_holds", "ai2_grid_holds"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
 # -- verify-u ---------------------------------------------------------------------
 
 
@@ -325,6 +338,8 @@ def report_digest(out):
         (("verify-det", "--sweep"), "92ddda8a9a281b9f"),
         (("leading-term", "--sweep"), "c10b8b30d29d847e"),
         (("tp-check", "--sweep"), "251e5f593fdfaf4b"),
+        (("multiset", "--sweep"), "16340cd796c97d39"),
+        (("verify-all",), "f9a3c5ac2dc2fb75"),
     ],
 )
 def test_sweep_reports_are_pinned(run, argv, digest):
@@ -356,6 +371,12 @@ def test_text_report_is_pinned(run):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "618a192c5d7c3fbe"
 
 
+def test_verify_all_text_report_is_pinned(run):
+    code, out, _ = run("verify-all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "b217049c232e0e7b"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -369,16 +390,60 @@ def test_text_report_is_pinned(run):
     ],
 )
 def test_sweep_refuses_conflicting_flags_before_any_work(run, monkeypatch, argv):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a check ran")
-
-    for name in ("verify_closed_form", "neville_eliminate", "factored_determinant",
-                 "leading_term", "verify_identity", "all_minors_positive"):
-        monkeypatch.setattr(cli, name, no_work)
+    forbid_checks(monkeypatch)
     code, report = run_json(run, *argv)
     assert code == 2
     assert report["outcome"] == "error"
     assert report["details"]["error"].startswith("--sweep does not take")
+
+
+@pytest.mark.parametrize("command", ["verify-u", "verify-det", "leading-term"])
+@pytest.mark.parametrize("cap", [None, "30"])
+def test_symbolic_n_above_the_limit_is_refused_before_work(run, monkeypatch, command, cap):
+    # GAUSSDET_MAX_N above the limit does not raise it
+    if cap is not None:
+        monkeypatch.setenv("GAUSSDET_MAX_N", cap)
+    forbid_checks(monkeypatch)
+    code, report = run_json(run, command, "--n", "21")
+    assert code == 2
+    assert report["outcome"] == "error"
+    assert report["details"]["error"] == f"n = 21 exceeds the {command} limit n <= 20"
+
+
+@pytest.mark.parametrize("command", ["verify-u", "verify-det", "leading-term"])
+def test_symbolic_limit_admits_n_twenty(run, monkeypatch, command):
+    for name in ("_u_entry", "_det_entry", "_leading_entry"):
+        monkeypatch.setattr(cli, name, lambda n, *rest: (True, {"n": n}))
+    code, report = run_json(run, command, "--n", "20")
+    assert code == 0
+    assert report["details"] == {"n": 20}
+
+
+def test_sweep_emptied_by_the_cap_is_refused(run, monkeypatch):
+    monkeypatch.setenv("GAUSSDET_MAX_N", "1")
+    forbid_checks(monkeypatch)
+    code, report = run_json(run, "leading-term", "--sweep")
+    assert code == 2
+    assert report["outcome"] == "error"
+    assert report["details"]["error"] == (
+        "GAUSSDET_MAX_N = 1 leaves no n of the leading-term sweep 2..8"
+    )
+
+
+def test_sweep_cap_of_two_still_runs_n_two(run, monkeypatch):
+    monkeypatch.setenv("GAUSSDET_MAX_N", "2")
+    code, report = run_json(run, "leading-term", "--sweep")
+    assert code == 0
+    assert [entry["n"] for entry in report["details"]["results"]] == [2]
+
+
+def test_verify_all_clamps_an_emptied_grid(run, monkeypatch):
+    monkeypatch.setenv("GAUSSDET_MAX_N", "1")
+    code, report = run_json(run, "verify-all")
+    assert code == 0
+    names = [check["name"] for check in report["details"]["checks"]]
+    assert not any(name.startswith("leading-term") for name in names)
+    assert "verify-u n=1" in names and "tp-check n=1 eta=1/2" in names
 
 
 def test_unknown_subcommand_is_usage_error(run):

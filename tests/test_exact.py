@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gaussdet.exact import (
-    BigRational,
     EtaPoly,
     EtaRatFunc,
     poly_gcd,
@@ -21,12 +20,6 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 H1 = poly_h(1)  # 1 - eta^2
 ETA = EtaPoly.monomial(1)
-
-
-def test_bigrational_stored_reduced_with_positive_denominator():
-    r = BigRational(2, -4)
-    assert r.numerator == -1 and r.denominator == 2
-    assert BigRational(6, 3) == 2
 
 
 # -- poly_h ------------------------------------------------------------------

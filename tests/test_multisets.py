@@ -31,8 +31,8 @@ def literal_simplex(spec):
     """The simplicial multiset listed one lattice point at a time.
 
     The reference for the counted ``enumerate_simplex``: k runs from gamma-1
-    to delta-1, k' over its epsilon/zeta range, and each deeper coordinate
-    from 0 to its predecessor.  Reads only the spec's fields, so it also
+    to delta-1, k' from epsilon*k to k, and each deeper coordinate from 0 to
+    its predecessor.  Reads only the spec's fields, so it also
     takes the empty range delta = gamma - 1 that SimplexSpec refuses.
     """
 
@@ -49,7 +49,7 @@ def literal_simplex(spec):
             if spec.n == 1:
                 yield base
                 continue
-            for kp in range(spec.epsilon * k, k - spec.zeta + 1):
+            for kp in range(spec.epsilon * k, k + 1):
                 yield from nested(base + kp, kp, spec.n - 2)
 
     return SignedMultiset(values())
@@ -62,19 +62,18 @@ def test_counts_equal_the_literal_enumeration_on_the_shipped_grids(monkeypatch):
     terms = set()
     real_term = multisets._term
 
-    def recording(n, alpha, beta, gamma, delta, epsilon=0, zeta=0):
-        terms.add((n, alpha, beta, gamma, delta, epsilon, zeta))
-        return real_term(n, alpha, beta, gamma, delta, epsilon, zeta)
+    def recording(n, alpha, beta, gamma, delta, epsilon=0):
+        terms.add((n, alpha, beta, gamma, delta, epsilon))
+        return real_term(n, alpha, beta, gamma, delta, epsilon)
 
     monkeypatch.setattr(multisets, "_term", recording)
     for identity in IDENTITY_NAMES:
         assert cli._identity_sweep(identity)[1] == []
     for w, i, j in cli.LIFT_GRID:
         lift_duality(w, i, j)
-    fields = ("n", "alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+    fields = ("n", "alpha", "beta", "gamma", "delta", "epsilon")
     specs = {term: SimpleNamespace(**dict(zip(fields, term))) for term in terms}
-    # the grids reach the pinned and the empty first-coordinate cases; no
-    # identity uses zeta = 1, which the exhaustive small grid below covers
+    # the grids reach the pinned and the empty first-coordinate cases
     assert any(spec.epsilon for spec in specs.values())
     assert any(spec.delta == spec.gamma - 1 for spec in specs.values())
     for term, spec in specs.items():
@@ -90,7 +89,8 @@ def test_counts_equal_the_literal_enumeration_on_the_shipped_grids(monkeypatch):
         SimplexSpec(9, 5, 5, 1, 11),
         SimplexSpec(9, 0, 5, 1, 11),
         SimplexSpec(8, 55, 1, 1, 12),
-        SimplexSpec(9, 0, 6, 1, 12, zeta=1),
+        # k' <= k - 1 read as k = m + 1, k' <= m: the shortened second coordinate
+        SimplexSpec(9, 6, 6, 1, 11),
         SimplexSpec(9, 3, 2, 5, 12, epsilon=1),
     ],
 )
@@ -104,8 +104,8 @@ def test_counts_equal_the_literal_enumeration_on_every_small_spec():
             for beta in range(4):
                 for delta in range(1, 6):
                     for gamma in range(1, delta + 1):
-                        for epsilon, zeta in ((0, 0), (1, 0), (0, 1)):
-                            spec = SimplexSpec(n, alpha, beta, gamma, delta, epsilon, zeta)
+                        for epsilon in (0, 1):
+                            spec = SimplexSpec(n, alpha, beta, gamma, delta, epsilon)
                             assert enumerate_simplex(spec) == literal_simplex(spec), spec
 
 
@@ -135,22 +135,15 @@ def test_enumerate_pinned_second_coordinate():
     assert enumerate_simplex(SimplexSpec(2, 0, 3, 1, 3, epsilon=1)) == mset(0, 4, 8)
 
 
-def test_enumerate_zeta_shortens_second_coordinate():
-    # zeta = 1: k' runs 0..k-1, empty at k = 0
-    assert enumerate_simplex(SimplexSpec(2, 0, 3, 1, 3, zeta=1)) == mset(3, 6, 7)
-
-
 @pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize("delta", range(1, 13))
 def test_cardinality_matches_simplex_lattice_count(n, delta):
     ms = enumerate_simplex(SimplexSpec(n, 0, 1, 1, delta))
     assert ms.total() == comb(delta - 1 + n, n)
     if n >= 2:
-        # epsilon = 1 leaves n - 2 coordinates under k; zeta = 1 bounds n - 1 by k - 1
+        # epsilon = 1 leaves n - 2 coordinates under k
         pinned = enumerate_simplex(SimplexSpec(n, 0, 1, 1, delta, epsilon=1))
         assert pinned.total() == sum(comb(k + n - 2, n - 2) for k in range(delta))
-        shortened = enumerate_simplex(SimplexSpec(n, 0, 1, 1, delta, zeta=1))
-        assert shortened.total() == sum(comb(k + n - 2, n - 1) for k in range(delta))
 
 
 @pytest.mark.parametrize(
@@ -163,7 +156,6 @@ def test_cardinality_matches_simplex_lattice_count(n, delta):
         dict(n=1, alpha=0, beta=1, gamma=3, delta=2),
         dict(n=1, alpha=0, beta=1, gamma=1, delta=0),
         dict(n=1, alpha=0, beta=1, gamma=1, delta=1, epsilon=2),
-        dict(n=1, alpha=0, beta=1, gamma=1, delta=1, epsilon=1, zeta=1),
     ],
 )
 def test_spec_validation(kwargs):
@@ -201,20 +193,11 @@ def test_union_with_negation_cancels_exactly():
 
 
 def test_counts_and_support():
-    assert FIG1.count(6) == 2
-    assert FIG1.count(1) == 0
-    assert FIG1.support() == (0, 2, 3, 4, 5, 6, 7, 8, 9)
+    assert FIG1.items() == ((0, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (7, 1), (8, 1), (9, 1))
     assert FIG1.total() == 10
-    assert FIG1.element_sum() == 0 + 2 + 3 + 4 + 5 + 6 + 6 + 7 + 8 + 9
 
 
 counts = st.dictionaries(st.integers(-20, 20), st.integers(-5, 5), max_size=12)
-
-
-@given(counts, counts)
-def test_element_sum_additive_under_union(a, b):
-    ma, mb = SignedMultiset.from_counts(a), SignedMultiset.from_counts(b)
-    assert ma.union(mb).element_sum() == ma.element_sum() + mb.element_sum()
 
 
 @given(counts, counts, counts)
