@@ -11,6 +11,7 @@ superfactorial coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,20 +67,31 @@ def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
         raise IndexError(f"stage {s} outside 1..{n}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"entry ({i}, {j}) outside 1..{n}")
-    return _u_value(s, i, j)
+    return _u_value(s, i, j, _h_prefixes(j))
 
 
-def _u_value(s: int, i: int, j: int) -> EtaPoly:
+def _h_prefixes(n: int) -> dict[tuple[int, int], EtaPoly]:
+    """h_{j-1}...h_{j-s+1} for every 1 <= s <= j <= n, keyed (j, s), each by one product."""
+    table = {}
+    for j in range(1, n + 1):
+        product = EtaPoly.one()
+        for s in range(1, j + 1):
+            table[j, s] = product
+            if s < j:
+                product = product * poly_h(j - s)
+    return table
+
+
+def _u_value(s: int, i: int, j: int, h_prefixes: dict[tuple[int, int], EtaPoly]) -> EtaPoly:
     if i < s:
         # row i froze at stage i
-        return _u_value(i, i, j)
+        return _u_value(i, i, j, h_prefixes)
     if j <= s - 1:
         return EtaPoly.zero()
     value = EtaPoly.monomial((i - j) ** 2)
     if s == 1:
         return value
-    for x in range(1, s):
-        value = value * poly_h(j - x)
+    value = value * h_prefixes[j, s]
     exponents = enumerate_simplex(SimplexSpec(s - 1, 0, j - s + 1, 1, i - s + 1)).items()
     # the sum of eta^(2e) over the multiset, as one dense coefficient list
     powers = [0] * (2 * exponents[-1][0] + 1)
@@ -144,19 +156,6 @@ class LeadingTerm:
         return f"{self.coefficient} * theta^{self.theta_power} * delta^{self.delta_power}"
 
 
-def _truncated_product(a: tuple, b: tuple) -> tuple:
-    """Product of two coefficient tuples of equal length, cut off at that length."""
-    n = len(a)
-    out = [0] * n
-    for i, ci in enumerate(a):
-        if ci:
-            for j in range(n - i):
-                cj = b[j]
-                if cj:
-                    out[i + j] += ci * cj
-    return tuple(out)
-
-
 def series_determinant(n: int, order: int) -> tuple[Fraction, ...]:
     """Determinant as a series in t = theta * delta^2, coefficients up to t^order.
 
@@ -168,12 +167,20 @@ def series_determinant(n: int, order: int) -> tuple[Fraction, ...]:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    product = (1,) + (0,) * order
+    # Exponential generating functions: index m holds m! times the coefficient
+    # of t^m, an integer for every factor, and a product of two such series
+    # is the binomial convolution of their coefficients.
+    factorials = [math.factorial(m) for m in range(order + 1)]
+    binomials = [[math.comb(m, k) for k in range(m + 1)] for m in range(order + 1)]
+    product = [1] + [0] * order
     for q in range(1, n):
-        factor = series_one_minus_exp(q, order)
+        factor = [int(c * f) for c, f in zip(series_one_minus_exp(q, order), factorials)]
         for _ in range(n - q):
-            product = _truncated_product(product, factor)
-    return tuple(Fraction(c) for c in product)
+            product = [
+                sum(row[k] * product[k] * factor[m - k] for k in range(m + 1) if product[k])
+                for m, row in enumerate(binomials)
+            ]
+    return tuple(Fraction(c, f) for c, f in zip(product, factorials))
 
 
 def leading_term(n: int) -> LeadingTerm:
@@ -223,12 +230,13 @@ def verify_closed_form(n: int, trace: EliminationTrace | None = None) -> Agreeme
         trace = neville_eliminate(build_covariance(n))
     if trace.n != n:
         raise ValueError(f"trace has {trace.n} stages, expected {n}")
+    h_prefixes = _h_prefixes(n)
     checked = 0
     for s in range(1, n + 1):
         stage = trace.stage(s)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                expected = _u_value(s, i, j)
+                expected = _u_value(s, i, j, h_prefixes)
                 actual = stage.entry(i, j)
                 checked += 1
                 if actual != expected:

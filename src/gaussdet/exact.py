@@ -11,12 +11,18 @@ Everything in this module is exact and immutable:
 All operations are pure functions over immutable values, so concurrent use
 needs no locking.  Internally, integral scalars may be stored as plain
 ``int`` rather than ``Fraction`` -- the two compare, hash and format
-identically, and ``int`` arithmetic is much faster.
+identically, and ``int`` arithmetic is much faster.  Polynomials with only
+``int`` coefficients, which is every polynomial of the elimination, also get
+integer kernels: a product of two dense ones is one big-int product of their
+packed coefficients, and a quotient that divides exactly is one packed
+big-int division, checked by multiplying back, instead of a reduction by
+``poly_gcd``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -61,6 +67,59 @@ def _render_terms(terms: Iterable[tuple[int, Scalar]]) -> str:
     return "".join(chunks) if chunks else "0"
 
 
+# -- packed integer kernels ----------------------------------------------------
+#
+# An integer polynomial a is packed into the single integer a(2^w), w = 8*nb
+# (Kronecker substitution), so a product or an exact quotient of polynomials
+# becomes one big-int operation done in C.  Each w-bit slot holds one signed
+# coefficient of magnitude below 2^(w-1).  Adding 2^(w-1) to every slot of
+# a(2^w) gives nonnegative digits, and flipping each slot's top bit turns
+# those into two's complement, so both directions convert bytes without carry
+# handling in Python.
+
+# Nonzero terms of the sparser operand from which a packed product beats the
+# term-by-term loop; sparser operands (monomials, h-factors) keep the loop.
+_PACKED_MIN_TERMS = 8
+
+def _all_int(coeffs) -> bool:
+    return set(map(type, coeffs)) <= {int}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for signed values of magnitude at most bound (at least 8)."""
+    return max(8, (bound.bit_length() + 8) // 8)
+
+
+def _top_bits(nb: int, count: int) -> int:
+    """The integer whose count slots of nb bytes hold only their top bit."""
+    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * count, "little")
+
+
+def _pack(coeffs, nb: int) -> int:
+    """The integer coefficients evaluated at 2^(8*nb); each must fit a signed slot."""
+    if nb == 8:
+        raw = struct.pack(f"<{len(coeffs)}q", *coeffs)
+    else:
+        raw = b"".join(c.to_bytes(nb, "little", signed=True) for c in coeffs)
+    top = _top_bits(nb, len(coeffs))
+    return (int.from_bytes(raw, "little") ^ top) - top
+
+
+def _unpack(value: int, nb: int, count: int) -> list[int]:
+    """The count signed slot values of a packed integer; OverflowError if it has more."""
+    top = _top_bits(nb, count)
+    raw = ((value + top) ^ top).to_bytes(nb * count, "little")
+    if nb == 8:
+        return list(struct.unpack(f"<{count}q", raw))
+    return [int.from_bytes(raw[k:k + nb], "little", signed=True) for k in range(0, len(raw), nb)]
+
+
+def _packed_product(a, b) -> list[int]:
+    """Coefficients of the product of two integer coefficient sequences, neither all zero."""
+    nb = _slot_bytes(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+    return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
+
+
 class EtaPoly:
     """Dense polynomial in eta over the rationals.
 
@@ -73,7 +132,9 @@ class EtaPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [_canon_scalar(c) for c in coeffs]
+        cs = list(coeffs)
+        if not _all_int(cs):
+            cs = [_canon_scalar(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -171,8 +232,11 @@ class EtaPoly:
         if not a or not b:
             return EtaPoly()
         # iterate over the sparser operand so monomials and h-factors cost O(degree)
-        if sum(1 for c in a if c) > sum(1 for c in b if c):
+        terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
+        if terms_a > terms_b:
             a, b = b, a
+        if min(terms_a, terms_b) >= _PACKED_MIN_TERMS and _all_int(a) and _all_int(b):
+            return EtaPoly(_packed_product(a, b))
         out: list[Scalar] = [0] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:
@@ -269,6 +333,32 @@ def poly_h(q: int) -> EtaPoly:
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"h_q requires an integer q >= 1, got {q!r}")
     return EtaPoly((1,) + (0,) * (2 * q - 1) + (-1,))
+
+
+def _exact_quotient(a: EtaPoly, b: EtaPoly) -> EtaPoly | None:
+    """a / b for integer polynomials a and b != 0 when it is an integer polynomial, else None.
+
+    The candidate read off the packed integer quotient is kept only if
+    multiplying it back by b gives a, so a slot too narrow for the quotient
+    also ends in None.
+    """
+    ca, cb = a._coeffs, b._coeffs
+    if not ca:
+        return a
+    size = len(ca) - len(cb) + 1
+    if size < 1 or not (_all_int(ca) and _all_int(cb)) or ca[-1] % cb[-1]:
+        return None
+    # up to n = 20 an elimination quotient is at most 6 bits wider than its
+    # dividend, so this slot holds it; a wider quotient ends in None below
+    nb = _slot_bytes(len(ca) * max(max(map(abs, ca)), max(map(abs, cb))))
+    packed, remainder = divmod(_pack(ca, nb), _pack(cb, nb))
+    if remainder:
+        return None
+    try:
+        quotient = EtaPoly(_unpack(packed, nb, size))
+    except OverflowError:
+        return None
+    return quotient if quotient * b == a else None
 
 
 def poly_gcd(a: EtaPoly, b: EtaPoly) -> EtaPoly:
@@ -394,6 +484,11 @@ class EtaRatFunc:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
+        # elimination quotients divide exactly; anything else takes the gcd path
+        if self.is_polynomial and other.is_polynomial:
+            quotient = _exact_quotient(self._num, other._num)
+            if quotient is not None:
+                return EtaRatFunc._reduced(quotient)
         return EtaRatFunc(self._num * other._den, self._den * other._num)
 
     def __rtruediv__(self, other):

@@ -3,8 +3,12 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +353,22 @@ def test_sweep_reports_are_pinned(run, argv, digest):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("verify-u", "--n", "15"), "230442a381adac6a"),
+        (("verify-det", "--n", "15"), "fd9237c72152e0ec"),
+        (("verify-det", "--n", "7", "--oracle-bound", "7"), "1875ad2d59152b55"),
+        (("leading-term", "--n", "12"), "d9f5b596ee18df64"),
+    ],
+)
+def test_symbolic_reports_are_pinned(run, argv, digest):
+    # the reports of the benchmark's symbolic workload, as in its golden file
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 0
+    assert report_digest(out) == digest
+
+
+@pytest.mark.parametrize(
     "identity, params, digest",
     [
         ("MI6", "8,6,12", "a43540afcdfa84a2"),
@@ -444,6 +464,23 @@ def test_verify_all_clamps_an_emptied_grid(run, monkeypatch):
     names = [check["name"] for check in report["details"]["checks"]]
     assert not any(name.startswith("leading-term") for name in names)
     assert "verify-u n=1" in names and "tp-check n=1 eta=1/2" in names
+
+
+def test_closed_stdout_exits_two_without_traceback():
+    # the reader has gone before the report is written, as in `gaussdet ... | head -1`
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussdet.cli", "leading-term", "--n", "3", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == b""
 
 
 def test_unknown_subcommand_is_usage_error(run):

@@ -1,10 +1,11 @@
-"""Scalar, polynomial and rational-function arithmetic, and series coefficients."""
+"""Scalar, polynomial and rational-function arithmetic, packed kernels, and series coefficients."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from gaussdet import exact
 from gaussdet.exact import (
     EtaPoly,
     EtaRatFunc,
@@ -138,6 +139,77 @@ def test_divmod_invariant(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
+
+
+# -- packed integer kernels ----------------------------------------------------
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# small coefficients, interior zeros, and values past any 64-bit slot
+int_coeffs = st.one_of(st.integers(-3, 3), st.just(0), st.integers(-2 ** 100, 2 ** 100))
+int_seqs = st.lists(int_coeffs, min_size=1, max_size=40).filter(any)
+int_polys = st.builds(EtaPoly, st.lists(int_coeffs, max_size=40))
+nonzero_int_polys = int_polys.filter(lambda p: not p.is_zero)
+
+
+@given(int_seqs, int_seqs)
+def test_packed_product_is_the_schoolbook_product(a, b):
+    assert exact._packed_product(a, b) == schoolbook(a, b)
+
+
+@pytest.mark.parametrize("bits", [3, 62, 63, 64, 65, 130])
+@pytest.mark.parametrize("terms", [1, exact._PACKED_MIN_TERMS - 1, exact._PACKED_MIN_TERMS, 25])
+def test_poly_product_on_both_sides_of_the_term_threshold(terms, bits):
+    # signs alternate, zeros sit between the terms, and the top coefficient is the widest
+    a = [0] * (2 * terms - 1)
+    for k in range(terms):
+        a[2 * k] = (-1) ** k * (2 ** bits - k)
+    b = [2 ** bits - 1, 0, -1, 5] * 4
+    assert EtaPoly(a) * EtaPoly(b) == EtaPoly(schoolbook(a, b))
+    assert exact._packed_product(a, b) == schoolbook(a, b)
+
+
+@given(int_polys, nonzero_int_polys)
+def test_exact_quotient_is_the_divmod_quotient(a, b):
+    # an exact case built from the pair, and the pair itself, usually inexact
+    assert exact._exact_quotient(a * b, b) == a
+    assert EtaRatFunc(a * b) / EtaRatFunc(b) == a
+    q, r = divmod(a, b)
+    expected = q if r.is_zero and all(c.denominator == 1 for c in q.coefficients) else None
+    assert exact._exact_quotient(a, b) == expected
+
+
+def test_exact_quotient_refuses_a_slot_too_narrow():
+    # (1 + eta)^k has binomial coefficients several bits wider than its product
+    # with (1 - eta)^j: 65 against 62 bits fits the 72-bit slot, 72 against 62 does not
+    a = EtaPoly((1, 1)) ** 68 * EtaPoly((1, -1))
+    assert exact._exact_quotient(a, EtaPoly((1, -1))) == EtaPoly((1, 1)) ** 68
+    b = EtaPoly((1, -1)) ** 7
+    a = EtaPoly((1, 1)) ** 75 * b
+    assert exact._exact_quotient(a, b) is None
+    assert EtaRatFunc(a) / EtaRatFunc(b) == EtaRatFunc(a, b) == EtaPoly((1, 1)) ** 75
+
+
+@given(st.one_of(int_polys, polys), st.one_of(nonzero_int_polys, nonzero_polys))
+def test_polynomial_division_is_the_reduced_quotient(a, b):
+    # exact, inexact, non-unit leading coefficients and Fraction operands alike
+    quotient = EtaRatFunc(a) / EtaRatFunc(b)
+    assert quotient == EtaRatFunc(a, b)
+    assert str(quotient) == str(EtaRatFunc(a, b))
+
+
+def test_division_by_a_non_unit_leading_coefficient():
+    assert EtaRatFunc(EtaPoly((0, 4))) / EtaRatFunc(EtaPoly((0, 2))) == 2
+    quotient = EtaRatFunc(EtaPoly((1, 1))) / EtaRatFunc(EtaPoly((0, 2)))
+    assert quotient.num == EtaPoly((Fraction(1, 2), Fraction(1, 2)))
+    assert quotient.den == ETA
 
 
 def test_poly_gcd_is_monic():
