@@ -51,7 +51,7 @@ EXIT_USAGE = 2
 # first and last n of each --sweep; GAUSSDET_MAX_N lowers the last
 SWEEP_NS = {"verify-u": (1, 10), "verify-det": (1, 10), "leading-term": (2, 8), "tp-check": (1, 7)}
 # largest --n of the symbolic commands, whose cost grows steeply with n (at
-# n = 20 about 2.5 s for verify-u on a 2-vCPU Xeon); GAUSSDET_MAX_N may only lower it
+# n = 20 about 2.3 s for verify-u on a 2-vCPU Xeon); GAUSSDET_MAX_N may only lower it
 SYMBOLIC_MAX_N = 20
 SYMBOLIC_COMMANDS = ("verify-u", "verify-det", "leading-term")
 TP_SWEEP_ETAS = ("1/10", "1/4", "1/2", "3/4", "9/10")

@@ -70,19 +70,16 @@ def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
     return _u_value(s, i, j, _h_prefixes(j))
 
 
-def _h_prefixes(n: int) -> dict[tuple[int, int], EtaPoly]:
-    """h_{j-1}...h_{j-s+1} for every 1 <= s <= j <= n, keyed (j, s), each by one product."""
-    table = {}
-    for j in range(1, n + 1):
-        product = EtaPoly.one()
-        for s in range(1, j + 1):
-            table[j, s] = product
-            if s < j:
-                product = product * poly_h(j - s)
-    return table
+def _h_prefixes(j: int) -> list[EtaPoly]:
+    """h_{j-1}...h_{j-s+1} at index s - 1 for every 1 <= s <= j, each by one product."""
+    row = [EtaPoly.one()]
+    for x in range(1, j):
+        row.append(row[-1] * poly_h(j - x))
+    return row
 
 
-def _u_value(s: int, i: int, j: int, h_prefixes: dict[tuple[int, int], EtaPoly]) -> EtaPoly:
+def _u_value(s: int, i: int, j: int, h_prefixes: list[EtaPoly]) -> EtaPoly:
+    # h_prefixes is _h_prefixes(j)
     if i < s:
         # row i froze at stage i
         return _u_value(i, i, j, h_prefixes)
@@ -91,7 +88,7 @@ def _u_value(s: int, i: int, j: int, h_prefixes: dict[tuple[int, int], EtaPoly])
     value = EtaPoly.monomial((i - j) ** 2)
     if s == 1:
         return value
-    value = value * h_prefixes[j, s]
+    value = value * h_prefixes[s - 1]
     exponents = enumerate_simplex(SimplexSpec(s - 1, 0, j - s + 1, 1, i - s + 1)).items()
     # the sum of eta^(2e) over the multiset, as one dense coefficient list
     powers = [0] * (2 * exponents[-1][0] + 1)
@@ -230,13 +227,13 @@ def verify_closed_form(n: int, trace: EliminationTrace | None = None) -> Agreeme
         trace = neville_eliminate(build_covariance(n))
     if trace.n != n:
         raise ValueError(f"trace has {trace.n} stages, expected {n}")
-    h_prefixes = _h_prefixes(n)
+    h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
     checked = 0
     for s in range(1, n + 1):
         stage = trace.stage(s)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                expected = _u_value(s, i, j, h_prefixes)
+                expected = _u_value(s, i, j, h_prefixes[j - 1])
                 actual = stage.entry(i, j)
                 checked += 1
                 if actual != expected:

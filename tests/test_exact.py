@@ -152,19 +152,46 @@ def schoolbook(a, b):
     return out
 
 
-# small coefficients, interior zeros, and values past any 64-bit slot
-int_coeffs = st.one_of(st.integers(-3, 3), st.just(0), st.integers(-2 ** 100, 2 ** 100))
-int_seqs = st.lists(int_coeffs, min_size=1, max_size=40).filter(any)
-int_polys = st.builds(EtaPoly, st.lists(int_coeffs, max_size=40))
+# small coefficients and interior zeros, alone or with values past a 64-bit slot
+small_coeffs = st.one_of(st.integers(-3, 3), st.just(0), st.integers(-2 ** 20, 2 ** 20))
+wide_coeffs = st.one_of(small_coeffs, st.integers(-2 ** 100, 2 ** 100))
+int_lists = st.one_of(st.lists(small_coeffs, max_size=40), st.lists(wide_coeffs, max_size=40))
+int_seqs = int_lists.filter(any)
+int_polys = st.builds(EtaPoly, int_lists)
 nonzero_int_polys = int_polys.filter(lambda p: not p.is_zero)
+
+
+def fits_slots(*polys):
+    return all(abs(c) < 2 ** 63 for p in polys for c in p.coefficients)
+
+
+def packed_product_expected(a, b):
+    """The schoolbook product, or None when a product coefficient could reach 2^63."""
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    return schoolbook(a, b) if bound < 2 ** 63 else None
+
+
+def exact_quotient_expected(a, b):
+    """divmod's quotient when it is exact and integral and every coefficient fits a slot."""
+    q, r = divmod(a, b)
+    if not r.is_zero or any(c.denominator != 1 for c in q.coefficients):
+        return None
+    return q if a.is_zero or fits_slots(a, b, q) else None
 
 
 @given(int_seqs, int_seqs)
 def test_packed_product_is_the_schoolbook_product(a, b):
-    assert exact._packed_product(a, b) == schoolbook(a, b)
+    assert exact._packed_product(a, b) == packed_product_expected(a, b)
+    assert EtaPoly(a) * EtaPoly(b) == EtaPoly(schoolbook(a, b))
 
 
-@pytest.mark.parametrize("bits", [3, 62, 63, 64, 65, 130])
+def test_packed_product_fills_a_slot():
+    top = 2 ** 63 - 1
+    assert exact._packed_product([-top], [1, -1, 0, 1]) == [-top, top, 0, -top]
+    assert exact._packed_product([top, 0, 1], [1, 1]) is None
+
+
+@pytest.mark.parametrize("bits", [3, 29, 30, 62, 130])
 @pytest.mark.parametrize("terms", [1, exact._PACKED_MIN_TERMS - 1, exact._PACKED_MIN_TERMS, 25])
 def test_poly_product_on_both_sides_of_the_term_threshold(terms, bits):
     # signs alternate, zeros sit between the terms, and the top coefficient is the widest
@@ -173,28 +200,25 @@ def test_poly_product_on_both_sides_of_the_term_threshold(terms, bits):
         a[2 * k] = (-1) ** k * (2 ** bits - k)
     b = [2 ** bits - 1, 0, -1, 5] * 4
     assert EtaPoly(a) * EtaPoly(b) == EtaPoly(schoolbook(a, b))
-    assert exact._packed_product(a, b) == schoolbook(a, b)
+    assert exact._packed_product(a, b) == packed_product_expected(a, b)
 
 
 @given(int_polys, nonzero_int_polys)
 def test_exact_quotient_is_the_divmod_quotient(a, b):
     # an exact case built from the pair, and the pair itself, usually inexact
-    assert exact._exact_quotient(a * b, b) == a
+    assert exact._exact_quotient(a * b, b) == exact_quotient_expected(a * b, b)
     assert EtaRatFunc(a * b) / EtaRatFunc(b) == a
-    q, r = divmod(a, b)
-    expected = q if r.is_zero and all(c.denominator == 1 for c in q.coefficients) else None
-    assert exact._exact_quotient(a, b) == expected
+    assert exact._exact_quotient(a, b) == exact_quotient_expected(a, b)
 
 
-def test_exact_quotient_refuses_a_slot_too_narrow():
-    # (1 + eta)^k has binomial coefficients several bits wider than its product
-    # with (1 - eta)^j: 65 against 62 bits fits the 72-bit slot, 72 against 62 does not
-    a = EtaPoly((1, 1)) ** 68 * EtaPoly((1, -1))
-    assert exact._exact_quotient(a, EtaPoly((1, -1))) == EtaPoly((1, 1)) ** 68
-    b = EtaPoly((1, -1)) ** 7
-    a = EtaPoly((1, 1)) ** 75 * b
-    assert exact._exact_quotient(a, b) is None
-    assert EtaRatFunc(a) / EtaRatFunc(b) == EtaRatFunc(a, b) == EtaPoly((1, 1)) ** 75
+def test_exact_quotient_refuses_a_quotient_too_wide():
+    # (1 + eta)^k has binomial coefficients wider than its product with 1 - eta:
+    # 63 against 60 bits fits a slot, 64 against 61 bits does not
+    a = EtaPoly((1, 1)) ** 66 * EtaPoly((1, -1))
+    assert exact._exact_quotient(a, EtaPoly((1, -1))) == EtaPoly((1, 1)) ** 66
+    a = EtaPoly((1, 1)) ** 67 * EtaPoly((1, -1))
+    assert exact._exact_quotient(a, EtaPoly((1, -1))) is None
+    assert EtaRatFunc(a) / EtaRatFunc(EtaPoly((1, -1))) == EtaPoly((1, 1)) ** 67
 
 
 @given(st.one_of(int_polys, polys), st.one_of(nonzero_int_polys, nonzero_polys))
