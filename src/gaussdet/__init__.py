@@ -7,7 +7,6 @@ positivity probe."""
 from .exact import (
     EtaPoly,
     EtaRatFunc,
-    poly_gcd,
     poly_h,
     series_one_minus_exp,
 )
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EtaPoly",
     "EtaRatFunc",
-    "poly_gcd",
     "poly_h",
     "series_one_minus_exp",
     "IDENTITY_NAMES",

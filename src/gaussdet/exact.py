@@ -1,22 +1,24 @@
-"""Exact scalar, polynomial, and rational-function arithmetic, and exact series coefficients.
+"""Exact integer polynomial arithmetic and exact series coefficients.
 
 Everything in this module is exact and immutable:
 
-* scalars are arbitrary-precision rationals (``fractions.Fraction``);
-* ``EtaPoly`` is a dense univariate polynomial in the formal variable eta;
-* ``EtaRatFunc`` is a reduced quotient of two such polynomials;
+* ``EtaPoly`` is a dense univariate polynomial in the formal variable eta
+  with ``int`` coefficients;
+* ``EtaRatFunc`` is an elimination stage entry: one such polynomial, whose
+  quotients must divide exactly;
 * ``series_one_minus_exp`` gives the coefficients of a power series in a
-  single variable t, cut off at a fixed order, as a tuple.
+  single variable t, cut off at a fixed order, as a tuple of ``Fraction``.
+
+Every stage entry of the elimination is an integer polynomial: each pivot is
+a product of h-factors with leading coefficient +-1, so every quotient
+divides exactly, as in fraction-free elimination.  A quotient that does not
+is an ``ArithmeticError``, never a rational function.
 
 All operations are pure functions over immutable values, so concurrent use
-needs no locking.  Internally, integral scalars may be stored as plain
-``int`` rather than ``Fraction`` -- the two compare, hash and format
-identically, and ``int`` arithmetic is much faster.  Polynomials with only
-``int`` coefficients, which is every polynomial of the elimination, also get
-integer kernels: a product of two dense ones is one big-int product of their
-packed coefficients, and a quotient that divides exactly is one packed
-big-int division, checked by multiplying back, instead of a reduction by
-``poly_gcd``.
+needs no locking.  A product of two dense polynomials is one big-int product
+of their packed coefficients, and an exact quotient is one packed big-int
+division, checked by multiplying back; coefficients too wide for the packing
+keep the term-by-term loops.
 """
 
 from __future__ import annotations
@@ -24,32 +26,12 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Iterator
 
 ETA_VARIABLE = "eta"
 
 
-def _canon_scalar(c) -> Scalar:
-    """Normalize a scalar to int (when integral) or Fraction."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"exact scalar expected, got {type(c).__name__}")
-
-
-def _exact_ratio(a: Scalar, b: Scalar) -> Scalar:
-    # b is known nonzero
-    if isinstance(a, int) and isinstance(b, int):
-        d, r = divmod(a, b)
-        if r == 0:
-            return d
-    return _canon_scalar(Fraction(a) / Fraction(b))
-
-
-def _render_terms(terms: Iterable[tuple[int, Scalar]]) -> str:
+def _render_terms(terms: Iterable[tuple[int, int]]) -> str:
     """Render (exponent, nonzero coefficient) pairs in ascending-exponent text form."""
     chunks: list[str] = []
     for exp, c in terms:
@@ -76,7 +58,7 @@ def _render_terms(terms: Iterable[tuple[int, Scalar]]) -> str:
 # nonnegative digits, and flipping each slot's top bit turns those into two's
 # complement, so both directions convert bytes with ``struct`` and without
 # carry handling in Python.  A product or quotient whose coefficients may not
-# fit a slot keeps the term-by-term loop or the gcd path.
+# fit a slot keeps the term-by-term loop.
 
 # Nonzero terms of the sparser operand from which a packed product beats the
 # term-by-term loop.  On the products of the elimination and its closed forms,
@@ -118,20 +100,23 @@ def _packed_product(a, b) -> list[int] | None:
 
 
 class EtaPoly:
-    """Dense polynomial in eta over the rationals.
+    """Dense polynomial in eta with integer coefficients.
 
-    Coefficient ``k`` multiplies ``eta^k``.  The stored coefficient tuple
-    carries no trailing zero (the zero polynomial stores an empty tuple), so
-    equality and hashing are structural.  The canonical text form lists terms
-    in ascending exponent, e.g. ``1 - 2*eta^2 + 2*eta^6 - eta^8``.
+    Coefficient ``k`` multiplies ``eta^k``; a coefficient of any type other
+    than ``int`` (``bool``, ``Fraction`` or ``float`` among them) is a
+    ``TypeError``.  The stored coefficient tuple carries no trailing zero
+    (the zero polynomial stores an empty tuple), so equality and hashing are
+    structural.  The canonical text form lists terms in ascending exponent,
+    e.g. ``1 - 2*eta^2 + 2*eta^6 - eta^8``.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = list(coeffs)
         if not _all_int(cs):
-            cs = [_canon_scalar(c) for c in cs]
+            bad = next(c for c in cs if type(c) is not int)
+            raise TypeError(f"int coefficient expected, got {type(bad).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -145,18 +130,16 @@ class EtaPoly:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "EtaPoly":
-        """The single term coeff * eta^exponent."""
+    def monomial(cls, exponent: int) -> "EtaPoly":
+        """The single term eta^exponent."""
         if exponent < 0:
             raise ValueError("monomial exponent must be >= 0")
-        if coeff == 0:
-            return cls()
-        return cls((0,) * exponent + (coeff,))
+        return cls((0,) * exponent + (1,))
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """Ascending coefficients as Fractions (index = exponent of eta)."""
-        return tuple(Fraction(c) for c in self._coeffs)
+    def coefficients(self) -> tuple[int, ...]:
+        """Ascending coefficients (index = exponent of eta)."""
+        return self._coeffs
 
     @property
     def degree(self) -> int:
@@ -170,7 +153,7 @@ class EtaPoly:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def terms(self) -> Iterator[tuple[int, Scalar]]:
+    def terms(self) -> Iterator[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs in ascending exponent order."""
         for k, c in enumerate(self._coeffs):
             if c:
@@ -182,7 +165,7 @@ class EtaPoly:
     def _coerce(value) -> "EtaPoly | None":
         if isinstance(value, EtaPoly):
             return value
-        if isinstance(value, (int, Fraction)):
+        if type(value) is int:
             return EtaPoly((value,))
         return None
 
@@ -218,11 +201,8 @@ class EtaPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _canon_scalar(other)
-            if c == 0:
-                return EtaPoly()
-            return EtaPoly(x * c for x in self._coeffs)
+        if type(other) is int:
+            return EtaPoly(x * other for x in self._coeffs)
         if not isinstance(other, EtaPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -232,11 +212,11 @@ class EtaPoly:
         terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
         if terms_a > terms_b:
             a, b = b, a
-        if min(terms_a, terms_b) >= _PACKED_MIN_TERMS and _all_int(a) and _all_int(b):
+        if min(terms_a, terms_b) >= _PACKED_MIN_TERMS:
             packed = _packed_product(a, b)
             if packed is not None:
                 return EtaPoly(packed)
-        out: list[Scalar] = [0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:
                 for j, cj in enumerate(b):
@@ -258,46 +238,6 @@ class EtaPoly:
             if exponent:
                 base = base * base
         return result
-
-    def __divmod__(self, other):
-        other = EtaPoly._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        b = other._coeffs
-        db = len(b) - 1
-        if len(self._coeffs) - 1 < db:
-            return EtaPoly(), self
-        rem = list(self._coeffs)
-        lead = b[-1]
-        quot: list[Scalar] = [0] * (len(rem) - db)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            qc = _exact_ratio(c, lead)
-            quot[k - db] = qc
-            for m in range(db + 1):
-                rem[k - db + m] -= qc * b[m]
-        return EtaPoly(quot), EtaPoly(rem[:db])
-
-    def __floordiv__(self, other):
-        result = divmod(self, other)
-        return result[0] if result is not NotImplemented else NotImplemented
-
-    def __mod__(self, other):
-        result = divmod(self, other)
-        return result[1] if result is not NotImplemented else NotImplemented
-
-    def monic(self) -> "EtaPoly":
-        """Scale so the leading coefficient is 1."""
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no monic form")
-        lead = self._coeffs[-1]
-        if lead == 1:
-            return self
-        return self * _exact_ratio(1, lead)
 
     def __call__(self, point) -> Fraction:
         """Evaluate at a rational point (Horner)."""
@@ -334,74 +274,63 @@ def poly_h(q: int) -> EtaPoly:
     return EtaPoly((1,) + (0,) * (2 * q - 1) + (-1,))
 
 
-def _exact_quotient(a: EtaPoly, b: EtaPoly) -> EtaPoly | None:
-    """a / b for integer polynomials a and b != 0 when it is an integer polynomial, else None.
+def _exact_quotient(a: EtaPoly, b: EtaPoly) -> EtaPoly:
+    """a / b, which must be an integer polynomial.
 
-    The candidate read off the packed integer quotient is kept only if
-    multiplying it back by b gives a, so a slot too narrow for the quotient
-    also ends in None.
+    ZeroDivisionError when b is zero; ArithmeticError when b leaves a
+    remainder or the quotient has a non-integral coefficient.  When a and b
+    fit 64-bit slots, the quotient is read off one packed big-int division
+    and kept once multiplying it back gives a; a wider quotient, or a wider
+    a or b, takes integer long division.
     """
     ca, cb = a._coeffs, b._coeffs
+    if not cb:
+        raise ZeroDivisionError("polynomial division by zero")
     if not ca:
         return a
-    size = len(ca) - len(cb) + 1
-    if size < 1 or not (_all_int(ca) and _all_int(cb)) or ca[-1] % cb[-1]:
-        return None
-    if max(map(abs, ca)) >= _SLOT_LIMIT or max(map(abs, cb)) >= _SLOT_LIMIT:
-        return None
-    packed, remainder = divmod(_pack(ca), _pack(cb))
-    if remainder:
-        return None
-    try:
-        quotient = EtaPoly(_unpack(packed, size))
-    except OverflowError:
-        return None
-    return quotient if quotient * b == a else None
-
-
-def poly_gcd(a: EtaPoly, b: EtaPoly) -> EtaPoly:
-    """Monic greatest common divisor (zero polynomial if both are zero)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a if a.is_zero else a.monic()
+    if max(map(abs, ca)) < _SLOT_LIMIT and max(map(abs, cb)) < _SLOT_LIMIT:
+        # b | a over the integers makes b(2^64) divide a(2^64)
+        packed, remainder = divmod(_pack(ca), _pack(cb))
+        if remainder:
+            raise ArithmeticError(f"{b} does not divide {a} over the integers")
+        try:
+            quotient = EtaPoly(_unpack(packed, len(ca) - len(cb) + 1))
+        except OverflowError:
+            pass  # a quotient coefficient needs more than a slot
+        else:
+            if quotient * b == a:
+                return quotient
+    # long division; a coefficient the divisor's lead does not divide stops it
+    # and stays in the remainder
+    rem = list(ca)
+    db = len(cb) - 1
+    quot = [0] * (len(rem) - db)
+    for k in range(len(rem) - 1, db - 1, -1):
+        qc, r = divmod(rem[k], cb[-1])
+        if r:
+            break
+        if qc:
+            quot[k - db] = qc
+            for m, cm in enumerate(cb):
+                rem[k - db + m] -= qc * cm
+    if any(rem):
+        raise ArithmeticError(f"{b} does not divide {a} over the integers")
+    return EtaPoly(quot)
 
 
 class EtaRatFunc:
-    """Quotient of two eta-polynomials, stored reduced with monic denominator.
+    """An elimination stage entry: an integer polynomial whose quotients divide exactly.
 
-    The canonical form (coprime numerator/denominator, denominator monic)
-    makes equality structural.  Intermediate elimination quotients live here;
-    for the matrix family under study they always reduce back to denominator
-    one, and ``as_poly`` recovers the polynomial.
+    ``num`` is the polynomial and ``den`` is always the constant one.  ``/``
+    is exact division, so a divisor that leaves a remainder or a fractional
+    coefficient raises ``ArithmeticError``.  Entries compare equal to the
+    ``EtaPoly`` or ``int`` of the same value.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num",)
 
-    def __init__(self, num, den=None) -> None:
-        num = _as_poly(num)
-        den = _ONE_POLY if den is None else _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = _ZERO_POLY, _ONE_POLY
-        elif den != _ONE_POLY:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den._coeffs[-1]
-            if lead != 1:
-                inv = _exact_ratio(1, lead)
-                num, den = num * inv, den * inv
-        self._num = num
-        self._den = den
-
-    @classmethod
-    def _reduced(cls, num: EtaPoly) -> "EtaRatFunc":
-        # fast path: num/1 is already canonical
-        out = cls.__new__(cls)
-        out._num = num
-        out._den = _ONE_POLY
-        return out
+    def __init__(self, num: EtaPoly | int) -> None:
+        self._num = num if isinstance(num, EtaPoly) else EtaPoly((num,))
 
     @property
     def num(self) -> EtaPoly:
@@ -409,131 +338,57 @@ class EtaRatFunc:
 
     @property
     def den(self) -> EtaPoly:
-        return self._den
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self._den == _ONE_POLY
-
-    def as_poly(self) -> EtaPoly:
-        if not self.is_polynomial:
-            raise ValueError(f"not a polynomial: {self}")
-        return self._num
-
-    @property
-    def is_zero(self) -> bool:
-        return self._num.is_zero
-
-    def __bool__(self) -> bool:
-        return bool(self._num)
+        return _ONE_POLY
 
     @staticmethod
-    def _coerce(value) -> "EtaRatFunc | None":
+    def _poly(value) -> EtaPoly | None:
         if isinstance(value, EtaRatFunc):
-            return value
-        if isinstance(value, (EtaPoly, int, Fraction)):
-            return EtaRatFunc(value)
-        return None
+            return value._num
+        return EtaPoly._coerce(value)
 
     def __add__(self, other):
-        other = EtaRatFunc._coerce(other)
+        other = EtaRatFunc._poly(other)
         if other is None:
             return NotImplemented
-        if self.is_polynomial and other.is_polynomial:
-            return EtaRatFunc._reduced(self._num + other._num)
-        return EtaRatFunc(
-            self._num * other._den + other._num * self._den,
-            self._den * other._den,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = EtaRatFunc.__new__(EtaRatFunc)
-        out._num = -self._num
-        out._den = self._den
-        return out
+        return EtaRatFunc(self._num + other)
 
     def __sub__(self, other):
-        other = EtaRatFunc._coerce(other)
+        other = EtaRatFunc._poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = EtaRatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return EtaRatFunc(self._num - other)
 
     def __mul__(self, other):
-        other = EtaRatFunc._coerce(other)
+        other = EtaRatFunc._poly(other)
         if other is None:
             return NotImplemented
-        if self.is_polynomial and other.is_polynomial:
-            return EtaRatFunc._reduced(self._num * other._num)
-        return EtaRatFunc(self._num * other._num, self._den * other._den)
-
-    __rmul__ = __mul__
+        return EtaRatFunc(self._num * other)
 
     def __truediv__(self, other):
-        other = EtaRatFunc._coerce(other)
+        other = EtaRatFunc._poly(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        # elimination quotients divide exactly; anything else takes the gcd path
-        if self.is_polynomial and other.is_polynomial:
-            quotient = _exact_quotient(self._num, other._num)
-            if quotient is not None:
-                return EtaRatFunc._reduced(quotient)
-        return EtaRatFunc(self._num * other._den, self._den * other._num)
-
-    def __rtruediv__(self, other):
-        other = EtaRatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("rational-function power must be a nonnegative integer")
-        return EtaRatFunc(self._num ** exponent, self._den ** exponent)
+        return EtaRatFunc(_exact_quotient(self._num, other))
 
     def __call__(self, point) -> Fraction:
-        bottom = self._den(point)
-        if bottom == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {point}")
-        return self._num(point) / bottom
+        return self._num(point)
 
     def __eq__(self, other) -> bool:
-        other = EtaRatFunc._coerce(other)
+        other = EtaRatFunc._poly(other)
         if other is None:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._num == other
 
     def __hash__(self):
-        if self.is_polynomial:
-            return hash(self._num)
-        return hash((self._num, self._den))
+        return hash(self._num)
 
     def __str__(self) -> str:
-        if self.is_polynomial:
-            return str(self._num)
-        return f"({self._num}) / ({self._den})"
+        return str(self._num)
 
     def __repr__(self) -> str:
         return f"EtaRatFunc({self})"
 
 
-def _as_poly(value) -> EtaPoly:
-    poly = EtaPoly._coerce(value)
-    if poly is None:
-        raise TypeError(f"polynomial or exact scalar expected, got {type(value).__name__}")
-    return poly
-
-
-_ZERO_POLY = EtaPoly()
 _ONE_POLY = EtaPoly((1,))
 
 

@@ -5,7 +5,9 @@ The matrix under study has entries eta^((i-j)^2) for evenly spaced points
 Elimination proceeds without pivoting: stage s+1 subtracts, from every entry
 with row and column beyond s, the product of its row's and column's stage-s
 entries over the stage-s pivot.  Every stage is recorded so the trace can be
-compared entry by entry against closed forms.
+compared entry by entry against closed forms.  Symbolic entries are integer
+eta-polynomials (``EtaRatFunc``): every quotient divides exactly, and one
+that does not is an ArithmeticError naming its stage, row and column.
 
 Matrices are immutable once built; elimination is sequential across stages
 but pure, so traces can be shared freely across threads.
@@ -20,6 +22,7 @@ from typing import Sequence, Union
 
 from .exact import EtaPoly, EtaRatFunc
 
+# a rational, or a symbolic stage entry (an integer eta-polynomial)
 Entry = Union[int, Fraction, EtaRatFunc]
 
 # Largest matrix size the Leibniz oracle accepts: 8! = 40,320 terms.
@@ -35,7 +38,7 @@ class ZeroPivotError(ArithmeticError):
 
 
 class SymMatrix:
-    """Square matrix of exact entries (rationals or eta rational functions).
+    """Square matrix of exact entries (rationals or integer eta-polynomial stage entries).
 
     ``entry(i, j)`` is 1-based, matching the row/column conventions of the
     elimination stages.
@@ -113,7 +116,9 @@ def neville_eliminate(v: SymMatrix) -> EliminationTrace:
     Stage s+1 copies rows 1..s, zeroes column s below the diagonal, and
     updates every remaining entry by the stage-s rule
     U(s+1,i,j) = U(s,i,j) - U(s,i,s)*U(s,s,j)/U(s,s,s).  A zero pivot is a
-    hard error: it falsifies the premise of the method for the input.
+    hard error: it falsifies the premise of the method for the input.  So is
+    a quotient that does not divide exactly: its ArithmeticError is raised
+    again naming the stage, row and column of the entry being computed.
     """
     n = v.size
     stages = [v]
@@ -122,13 +127,20 @@ def neville_eliminate(v: SymMatrix) -> EliminationTrace:
         pivot = current[s - 1][s - 1]
         if pivot == 0:
             raise ZeroPivotError(s)
-        zero = pivot - pivot  # additive zero of the entry field
+        zero = pivot - pivot  # additive zero of the entries
         nxt = [list(row) for row in current]
         for i in range(s, n):
             nxt[i][s - 1] = zero
             row_factor = current[i][s - 1]
             for j in range(s, n):
-                nxt[i][j] = current[i][j] - row_factor * current[s - 1][j] / pivot
+                product = row_factor * current[s - 1][j]
+                try:
+                    quotient = product / pivot
+                except ArithmeticError as exc:
+                    raise ArithmeticError(
+                        f"inexact quotient at stage {s + 1}, row {i + 1}, column {j + 1}: {exc}"
+                    ) from exc
+                nxt[i][j] = current[i][j] - quotient
         stages.append(SymMatrix(nxt))
         current = nxt
     return EliminationTrace(tuple(stages))
@@ -152,7 +164,7 @@ def brute_force_det(v: SymMatrix) -> Entry:
         raise ValueError(f"matrix size {n} exceeds the Leibniz oracle limit {ORACLE_MAX_N}")
     rows = v.rows
     first = rows[0][0]
-    total = first - first  # additive zero of the entry field
+    total = first - first  # additive zero of the entries
     for perm in itertools.permutations(range(n)):
         inversions = sum(
             1

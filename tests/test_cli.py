@@ -531,6 +531,21 @@ def test_failed_check_exits_one_with_counterexample(run, monkeypatch):
     }
 
 
+def test_inexact_elimination_quotient_exits_one_naming_the_entry(run, monkeypatch):
+    from gaussdet.exact import EtaPoly, EtaRatFunc
+    from gaussdet.neville import SymMatrix
+
+    # pivot 1 + eta does not divide eta * eta
+    entries = [EtaRatFunc(EtaPoly(c)) for c in ((1, 1), (0, 1), (1,))]
+    monkeypatch.setattr(cli, "build_covariance",
+                        lambda n: SymMatrix([entries[:2], entries[1:]]))
+    code, out, _ = run("verify-det", "--n", "2", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["outcome"] == "fail"
+    assert report["details"]["error"].startswith("inexact quotient at stage 2, row 2, column 2: ")
+
+
 def test_failed_leading_term_is_one_failed_check_of_verify_all(run, monkeypatch):
     real = cli.leading_term
 

@@ -16,7 +16,7 @@ from gaussdet.closedform import (
     superfactorial,
     verify_closed_form,
 )
-from gaussdet.exact import EtaPoly, poly_h, series_one_minus_exp
+from gaussdet.exact import EtaPoly, EtaRatFunc, poly_h, series_one_minus_exp
 from gaussdet.neville import (
     SymMatrix,
     brute_force_det,
@@ -142,15 +142,14 @@ def test_verify_closed_form_accepts_precomputed_trace():
 
 
 def test_verify_closed_form_reports_first_mismatch():
-    # a trace of the matrix at eta = 1/2 disagrees at the first off-diagonal entry
-    half = Fraction(1, 2)
-    numeric = SymMatrix([[half ** ((i - j) ** 2) for j in range(2)] for i in range(2)])
-    wrong = neville_eliminate(numeric)
+    # a trace whose input has eta^2 for eta at the first off-diagonal entry
+    one, eta, eta_sq = (EtaRatFunc(EtaPoly.monomial(k)) for k in range(3))
+    wrong = neville_eliminate(SymMatrix([[one, eta_sq], [eta, one]]))
     report = verify_closed_form(2, trace=wrong)
     assert not report.agree
     assert report.first_mismatch == (1, 1, 2)
     assert report.expected == "eta"
-    assert report.actual == "1/2"
+    assert report.actual == "eta^2"
 
 
 # -- factored determinant ----------------------------------------------------------------
@@ -255,9 +254,15 @@ def test_series_determinant_n_one_is_one():
 
 @pytest.mark.parametrize("n, order", [(2, 1), (3, 5), (4, 9), (5, 4)])
 def test_series_determinant_is_the_truncated_polynomial_product(n, order):
-    # the same product in exact polynomial arithmetic, cut off only at the end
-    full = EtaPoly.one()
+    # the same product by Fraction convolution, cut off only at the end
+    full = [Fraction(1)]
     for q in range(1, n):
-        full = full * EtaPoly(series_one_minus_exp(q, order)) ** (n - q)
-    expected = (full.coefficients + (0,) * order)[:order + 1]
+        factor = series_one_minus_exp(q, order)
+        for _ in range(n - q):
+            product = [Fraction(0)] * (len(full) + order)
+            for i, x in enumerate(full):
+                for k, y in enumerate(factor):
+                    product[i + k] += x * y
+            full = product
+    expected = tuple(full[:order + 1])
     assert series_determinant(n, order) == expected

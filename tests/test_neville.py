@@ -185,11 +185,23 @@ def test_symbolic_and_numeric_elimination_commute(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_trace_entry_reduces_to_denominator_one(n):
+    # the stage-entry interface that perfbench/tracer.py::_entry_size reads:
+    # num and den polynomials, den one, int coefficients
     trace = neville_eliminate(symbolic(n))
     for stage in trace.stages:
         for row in stage.rows:
             for entry in row:
-                assert entry.is_polynomial
+                assert isinstance(entry.num, EtaPoly) and isinstance(entry.den, EtaPoly)
+                assert entry.den == 1
+                assert all(type(c) is int for c in entry.num.coefficients + entry.den.coefficients)
+
+
+def test_inexact_quotient_names_stage_row_and_column():
+    # the pivot 1 + eta does not divide eta * eta
+    v = SymMatrix([[EtaRatFunc(EtaPoly((1, 1))), mono(1)], [mono(1), mono(0)]])
+    with pytest.raises(ArithmeticError, match=r"^inexact quotient at stage 2, row 2, column 2: ") as excinfo:
+        neville_eliminate(v)
+    assert not isinstance(excinfo.value, ZeroPivotError)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
