@@ -124,11 +124,23 @@ def test_coefficients_are_the_stored_ints():
 # -- exact division ------------------------------------------------------------
 
 
-def test_exact_division_small_cases():
+def test_divmod_exact_case():
+    assert exact._exact_quotient(poly_h(2), H1) == EtaPoly((1, 0, 1))
     assert EtaRatFunc(poly_h(2)) / EtaRatFunc(H1) == EtaPoly((1, 0, 1))
-    # eta - eta^5 = (eta + eta^3)(1 - eta^2)
-    assert EtaRatFunc(ETA - EtaPoly.monomial(5)) / EtaRatFunc(H1) == EtaPoly((0, 1, 0, 1))
     assert EtaRatFunc(poly_h(3)) / 1 == poly_h(3)
+
+
+def test_divmod_eta_minus_eta5():
+    a = ETA - EtaPoly.monomial(5)  # eta - eta^5
+    q = exact._exact_quotient(a, H1)
+    assert q * H1 == a  # re-multiplication oracle
+    assert q == EtaPoly((0, 1, 0, 1))  # eta + eta^3
+    assert EtaRatFunc(a) / EtaRatFunc(H1) == q
+
+
+def test_divmod_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        exact._exact_quotient(H1, EtaPoly.zero())
 
 
 def test_inexact_division_raises():
