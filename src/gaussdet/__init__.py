@@ -6,7 +6,6 @@ positivity probe."""
 
 from .exact import (
     EtaPoly,
-    EtaRatFunc,
     poly_h,
     series_one_minus_exp,
 )
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EtaPoly",
-    "EtaRatFunc",
     "poly_h",
     "series_one_minus_exp",
     "IDENTITY_NAMES",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import EtaPoly, poly_h, series_one_minus_exp
+from .exact import EtaPoly, poly_h
 from .multisets import SimplexSpec, enumerate_simplex
 from .neville import EliminationTrace, build_covariance, neville_eliminate
 
@@ -165,13 +165,14 @@ def series_determinant(n: int, order: int) -> tuple[Fraction, ...]:
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
     # Exponential generating functions: index m holds m! times the coefficient
-    # of t^m, an integer for every factor, and a product of two such series
-    # is the binomial convolution of their coefficients.
+    # of t^m, an integer for every factor (-(-2q)^m for 1 - exp(-2qt), m >= 1),
+    # and a product of two such series is the binomial convolution of their
+    # coefficients.
     factorials = [math.factorial(m) for m in range(order + 1)]
     binomials = [[math.comb(m, k) for k in range(m + 1)] for m in range(order + 1)]
     product = [1] + [0] * order
     for q in range(1, n):
-        factor = [int(c * f) for c, f in zip(series_one_minus_exp(q, order), factorials)]
+        factor = [0] + [-((-2 * q) ** m) for m in range(1, order + 1)]
         for _ in range(n - q):
             product = [
                 sum(row[k] * product[k] * factor[m - k] for k in range(m + 1) if product[k])

@@ -6,8 +6,10 @@ Elimination proceeds without pivoting: stage s+1 subtracts, from every entry
 with row and column beyond s, the product of its row's and column's stage-s
 entries over the stage-s pivot.  Every stage is recorded so the trace can be
 compared entry by entry against closed forms.  Symbolic entries are integer
-eta-polynomials (``EtaRatFunc``): every quotient divides exactly, and one
-that does not is an ArithmeticError naming its stage, row and column.
+eta-polynomials (``EtaPoly``), whose ``/`` is exact division: every quotient
+divides exactly, and one that does not is an ArithmeticError naming its
+stage, row and column.  Numeric entries are ``Fraction``s, so no stage entry
+is ever a float.
 
 Matrices are immutable once built; elimination is sequential across stages
 but pure, so traces can be shared freely across threads.
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exact import EtaPoly, EtaRatFunc
+from .exact import EtaPoly
 
 # a rational, or a symbolic stage entry (an integer eta-polynomial)
-Entry = Union[int, Fraction, EtaRatFunc]
+Entry = Union[int, Fraction, EtaPoly]
 
 # Largest matrix size the Leibniz oracle accepts: 8! = 40,320 terms.
 ORACLE_MAX_N = 8
@@ -37,17 +39,27 @@ class ZeroPivotError(ArithmeticError):
         self.stage = stage
 
 
-class SymMatrix:
-    """Square matrix of exact entries (rationals or integer eta-polynomial stage entries).
+def _exact_entry(value: Entry) -> Fraction | EtaPoly:
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, (Fraction, EtaPoly)):
+        return value
+    raise TypeError(f"exact matrix entry expected, got {type(value).__name__}")
 
-    ``entry(i, j)`` is 1-based, matching the row/column conventions of the
-    elimination stages.
+
+class SymMatrix:
+    """Square matrix of exact entries: rationals or integer eta-polynomials.
+
+    An ``int`` entry is stored as a ``Fraction``, so that elimination
+    quotients stay exact; an entry of any other type (``float`` and
+    ``bool`` among them) is a ``TypeError``.  ``entry(i, j)`` is 1-based,
+    matching the row/column conventions of the elimination stages.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Sequence[Sequence[Entry]]) -> None:
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(map(_exact_entry, r)) for r in rows)
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("a nonempty square matrix is required")
         self._rows = rows
@@ -106,7 +118,7 @@ def build_covariance(n: int) -> SymMatrix:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return SymMatrix(
-        [[EtaRatFunc(EtaPoly.monomial((i - j) ** 2)) for j in range(n)] for i in range(n)]
+        [[EtaPoly.monomial((i - j) ** 2) for j in range(n)] for i in range(n)]
     )
 
 

@@ -350,6 +350,18 @@ def test_sweep_reports_are_pinned(run, argv, digest):
     code, out, _ = run(*argv, "--format", "json")
     assert code == 0
     assert report_digest(out) == digest
+    assert floats_in(json.loads(out)) == []
+
+
+def floats_in(value):
+    """Every float anywhere in a parsed JSON value; exact reports carry none."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [found for item in value for found in floats_in(item)]
+    return []
 
 
 @pytest.mark.parametrize(
@@ -532,11 +544,11 @@ def test_failed_check_exits_one_with_counterexample(run, monkeypatch):
 
 
 def test_inexact_elimination_quotient_exits_one_naming_the_entry(run, monkeypatch):
-    from gaussdet.exact import EtaPoly, EtaRatFunc
+    from gaussdet.exact import EtaPoly
     from gaussdet.neville import SymMatrix
 
     # pivot 1 + eta does not divide eta * eta
-    entries = [EtaRatFunc(EtaPoly(c)) for c in ((1, 1), (0, 1), (1,))]
+    entries = [EtaPoly(c) for c in ((1, 1), (0, 1), (1,))]
     monkeypatch.setattr(cli, "build_covariance",
                         lambda n: SymMatrix([entries[:2], entries[1:]]))
     code, out, _ = run("verify-det", "--n", "2", "--format", "json")

@@ -16,7 +16,7 @@ from gaussdet.closedform import (
     superfactorial,
     verify_closed_form,
 )
-from gaussdet.exact import EtaPoly, EtaRatFunc, poly_h, series_one_minus_exp
+from gaussdet.exact import EtaPoly, poly_h, series_one_minus_exp
 from gaussdet.neville import (
     SymMatrix,
     brute_force_det,
@@ -143,7 +143,7 @@ def test_verify_closed_form_accepts_precomputed_trace():
 
 def test_verify_closed_form_reports_first_mismatch():
     # a trace whose input has eta^2 for eta at the first off-diagonal entry
-    one, eta, eta_sq = (EtaRatFunc(EtaPoly.monomial(k)) for k in range(3))
+    one, eta, eta_sq = (EtaPoly.monomial(k) for k in range(3))
     wrong = neville_eliminate(SymMatrix([[one, eta_sq], [eta, one]]))
     report = verify_closed_form(2, trace=wrong)
     assert not report.agree

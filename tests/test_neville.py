@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaussdet.exact import EtaPoly, EtaRatFunc, poly_h
+from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
     SymMatrix,
     ZeroPivotError,
@@ -27,7 +27,7 @@ def numeric(n, eta):
 
 
 def mono(k):
-    return EtaRatFunc(EtaPoly.monomial(k))
+    return EtaPoly.monomial(k)
 
 
 # -- parameters and construction --------------------------------------------------
@@ -72,6 +72,9 @@ def test_matrix_must_be_square():
         SymMatrix([[1, 2], [3, 4], [5, 6]])
     with pytest.raises(ValueError):
         SymMatrix([])
+    # and exact: a float entry is refused
+    with pytest.raises(TypeError, match="got float"):
+        SymMatrix([[1.5]])
 
 
 def test_entry_indexing_is_one_based():
@@ -91,6 +94,9 @@ def test_two_point_elimination():
     assert trace.n == 2
     assert trace.stage(2).entry(2, 2) == poly_h(1)
     assert trace.stage(2).entry(2, 1) == 0
+    # an int matrix eliminates over the rationals: 2 - 1 * 1 / 2 is 3/2, not 1.5
+    pivot = neville_eliminate(SymMatrix([[2, 1], [1, 2]])).stage(2).entry(2, 2)
+    assert type(pivot) is Fraction and pivot == Fraction(3, 2)
 
 
 def test_three_point_stage_two_off_diagonal():
@@ -185,12 +191,14 @@ def test_symbolic_and_numeric_elimination_commute(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_trace_entry_reduces_to_denominator_one(n):
-    # the stage-entry interface that perfbench/tracer.py::_entry_size reads:
-    # num and den polynomials, den one, int coefficients
+    # every entry is a plain EtaPoly, with the interface that
+    # perfbench/tracer.py::_entry_size reads: num and den polynomials, den one,
+    # int coefficients
     trace = neville_eliminate(symbolic(n))
     for stage in trace.stages:
         for row in stage.rows:
             for entry in row:
+                assert type(entry) is EtaPoly
                 assert isinstance(entry.num, EtaPoly) and isinstance(entry.den, EtaPoly)
                 assert entry.den == 1
                 assert all(type(c) is int for c in entry.num.coefficients + entry.den.coefficients)
@@ -198,7 +206,7 @@ def test_every_trace_entry_reduces_to_denominator_one(n):
 
 def test_inexact_quotient_names_stage_row_and_column():
     # the pivot 1 + eta does not divide eta * eta
-    v = SymMatrix([[EtaRatFunc(EtaPoly((1, 1))), mono(1)], [mono(1), mono(0)]])
+    v = SymMatrix([[EtaPoly((1, 1)), mono(1)], [mono(1), mono(0)]])
     with pytest.raises(ArithmeticError, match=r"^inexact quotient at stage 2, row 2, column 2: ") as excinfo:
         neville_eliminate(v)
     assert not isinstance(excinfo.value, ZeroPivotError)
