@@ -4,11 +4,7 @@ the h-factor determinant factorization, its leading spacing-order term, the
 simplicial multiset identities behind them, and an exhaustive minor
 positivity probe."""
 
-from .exact import (
-    EtaPoly,
-    poly_h,
-    series_one_minus_exp,
-)
+from .exact import EtaPoly, poly_h
 from .multisets import (
     IDENTITY_NAMES,
     IdentityReport,
@@ -52,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EtaPoly",
     "poly_h",
-    "series_one_minus_exp",
     "IDENTITY_NAMES",
     "IdentityReport",
     "LiftDualityError",

@@ -4,6 +4,9 @@ Runs are seed-free and deterministic: identical invocations produce identical
 reports except for the elapsed-time field.  Exit codes: 0 all checks passed,
 1 a mathematical check failed (the report carries a counterexample),
 2 usage or validation error, or stdout closed before the report was written.
+
+``CHECKS`` is the one table of the n-indexed subcommands: each one's ``--sweep``
+range, its largest ``--n`` and the entry keys its ``verify-all`` checks report.
 """
 
 from __future__ import annotations
@@ -48,12 +51,18 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# first and last n of each --sweep; GAUSSDET_MAX_N lowers the last
-SWEEP_NS = {"verify-u": (1, 10), "verify-det": (1, 10), "leading-term": (2, 8), "tp-check": (1, 7)}
 # largest --n of the symbolic commands, whose cost grows steeply with n (at
 # n = 20 about 2.3 s for verify-u on a 2-vCPU Xeon); GAUSSDET_MAX_N may only lower it
 SYMBOLIC_MAX_N = 20
-SYMBOLIC_COMMANDS = ("verify-u", "verify-det", "leading-term")
+# Each n-indexed check: the first and last n of its --sweep (GAUSSDET_MAX_N lowers
+# the last), its largest --n (None where the check refuses a large n itself), and
+# the keys of its entry that verify-all reports
+CHECKS = {
+    "verify-u": (1, 10, SYMBOLIC_MAX_N, ("entries_checked", "first_mismatch")),
+    "verify-det": (1, 10, SYMBOLIC_MAX_N, ("factored", "oracle_checked")),
+    "leading-term": (2, 8, SYMBOLIC_MAX_N, ("closed_form", "error")),
+    "tp-check": (1, 7, None, ("minors_checked", "min_minor")),
+}
 TP_SWEEP_ETAS = ("1/10", "1/4", "1/2", "3/4", "9/10")
 LIFT_GRID = tuple((w, i, j) for w in range(2, 6) for i in range(w + 1, w + 6)
                   for j in range(w + 1, w + 6))
@@ -73,28 +82,10 @@ def _max_n_cap() -> int | None:
     return cap
 
 
-def _check_cap(n: int) -> int:
-    cap = _max_n_cap()
-    if cap is not None and n > cap:
-        raise ValueError(f"n = {n} exceeds {MAX_N_ENV} = {cap}")
-    return n
-
-
 def _sweep_ns(command: str) -> range:
-    first, last = SWEEP_NS[command]
+    first, last, _, _ = CHECKS[command]
     cap = _max_n_cap()
     return range(first, (last if cap is None else min(last, cap)) + 1)
-
-
-def _require_n(args) -> int:
-    if args.n is None:
-        raise ValueError("--n is required (or use --sweep)")
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    n = _check_cap(args.n)
-    if args.command in SYMBOLIC_COMMANDS and n > SYMBOLIC_MAX_N:
-        raise ValueError(f"n = {n} exceeds the {args.command} limit n <= {SYMBOLIC_MAX_N}")
-    return n
 
 
 def _sweeping(args, *flags: str) -> bool:
@@ -106,26 +97,31 @@ def _sweeping(args, *flags: str) -> bool:
 
 def _ns(args, *flags: str) -> range:
     """The command's sweep range under --sweep, which refuses --n and the flags; else --n."""
+    first, last, limit, _ = CHECKS[args.command]
     if _sweeping(args, "n", *flags):
         ns = _sweep_ns(args.command)
         if not ns:
-            first, last = SWEEP_NS[args.command]
             raise ValueError(
                 f"{MAX_N_ENV} = {_max_n_cap()} leaves no n of the {args.command} sweep {first}..{last}"
             )
         return ns
-    n = _require_n(args)
+    n = args.n
+    if n is None:
+        raise ValueError("--n is required (or use --sweep)")
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
+    cap = _max_n_cap()
+    if cap is not None and n > cap:
+        raise ValueError(f"n = {n} exceeds {MAX_N_ENV} = {cap}")
+    if limit is not None and n > limit:
+        raise ValueError(f"n = {n} exceeds the {args.command} limit n <= {limit}")
     return range(n, n + 1)
 
 
 def _fold(checks, sweep: bool) -> tuple[str, dict]:
     """Outcome and details of (ok, entry) pairs: a sweep lists every entry, else the one."""
-    ok = True
-    results = []
-    for good, entry in checks:
-        ok = ok and good
-        results.append(entry)
-    return ("pass" if ok else "fail"), ({"results": results} if sweep else results[0])
+    goods, results = zip(*checks)
+    return ("pass" if all(goods) else "fail"), ({"results": list(results)} if sweep else results[0])
 
 
 def _parse_eta(text: str) -> Fraction:
@@ -157,36 +153,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, sweep_help: str | None = None):
+    def command(name: str, help_text: str, handler, sweep_help: str | None = None):
+        """A subcommand running handler; an n-check takes --n and its --sweep range from CHECKS."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if name in CHECKS:
+            p.add_argument("--n", type=int)
+            first, last, _, _ = CHECKS[name]
+            sweep_help = f"check every n from {first} to {last}{sweep_help or ''}"
         p.add_argument("--format", choices=("text", "json"), default="text")
         if sweep_help is not None:
             p.add_argument("--sweep", action="store_true", help=sweep_help)
-
-    def n_command(name: str, help_text: str, sweep_suffix: str = "") -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int)
-        first, last = SWEEP_NS[name]
-        common(p, f"check every n from {first} to {last}{sweep_suffix}")
         return p
 
-    n_command("verify-u", "compare every elimination stage to its closed form")
-    p = n_command("verify-det", "factored vs diagonal-product vs Leibniz determinant")
+    command("verify-u", "compare every elimination stage to its closed form", _cmd_verify_u)
+    p = command("verify-det", "factored vs diagonal-product vs Leibniz determinant",
+                _cmd_verify_det)
     p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND,
                    help="largest n for the Leibniz cross-check")
-    n_command("leading-term", "leading spacing-order term, series cross-check")
+    command("leading-term", "leading spacing-order term, series cross-check", _cmd_leading_term)
 
-    p = sub.add_parser("multiset", help="verify one of the multiset identities MI1..MI6")
+    p = command("multiset", "verify one of the multiset identities MI1..MI6", _cmd_multiset,
+                "run the full parameter grid for every identity")
     p.add_argument("--identity", choices=IDENTITY_NAMES)
     p.add_argument("--params", type=_csv_ints, help="comma-separated identity parameters")
-    common(p, "run the full parameter grid for every identity")
 
-    p = n_command("tp-check", "evaluate every minor exactly and check positivity",
-                  f" at eta in {{{', '.join(TP_SWEEP_ETAS)}}}")
+    p = command("tp-check", "evaluate every minor exactly and check positivity", _cmd_tp_check,
+                f" at eta in {{{', '.join(TP_SWEEP_ETAS)}}}")
     p.add_argument("--eta", help="rational in (0, 1), e.g. 1/2")
 
-    p = sub.add_parser("verify-all", help="run every verification grid in one pass")
+    p = command("verify-all", "run every verification grid in one pass", _cmd_verify_all)
     p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
-    common(p)
 
     return parser
 
@@ -270,24 +267,19 @@ def _leading_entry(n: int) -> tuple[bool, dict]:
     }
 
 
-def _identity_grid(identity: str):
-    """The standard verification grid, in fixed lexicographic order."""
+def _identity_sweep(identity: str) -> tuple[int, list[dict]]:
+    """Instances checked and failures over the identity's grid, in fixed lexicographic order."""
     ns, alphas, betas, deltas = range(1, 5), range(0, 4), range(1, 7), range(2, 7)
     if "alpha" in identity_param_names(identity):
-        return itertools.product(ns, alphas, betas, deltas)
-    return itertools.product(ns, betas, deltas)
-
-
-def _identity_sweep(identity: str) -> tuple[int, list[dict]]:
-    """Instances checked and failures over the identity's grid."""
-    instances = 0
+        grid = list(itertools.product(ns, alphas, betas, deltas))
+    else:
+        grid = list(itertools.product(ns, betas, deltas))
     failures = []
-    for params in _identity_grid(identity):
+    for params in grid:
         report = verify_identity(identity, params)
-        instances += 1
         if not report.equal:
             failures.append({"params": list(params), "difference": str(report.difference)})
-    return instances, failures
+    return len(grid), failures
 
 
 def _tp_entry(n: int, eta: Fraction) -> tuple[bool, dict]:
@@ -303,8 +295,8 @@ def _tp_entry(n: int, eta: Fraction) -> tuple[bool, dict]:
     return report.all_positive, entry
 
 
-def _tp_sweep(ns: range):
-    return (_tp_entry(n, Fraction(eta)) for n in ns for eta in TP_SWEEP_ETAS)
+def _tp_sweep(ns: range, etas=TP_SWEEP_ETAS):
+    return (_tp_entry(n, Fraction(eta)) for n in ns for eta in etas)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -359,11 +351,10 @@ def _cmd_multiset(args) -> tuple[str, dict]:
 
 def _cmd_tp_check(args) -> tuple[str, dict]:
     ns = _ns(args, "eta")
-    if args.sweep:
-        return _fold(_tp_sweep(ns), sweep=True)
-    if args.eta is None:
+    if not args.sweep and args.eta is None:
         raise ValueError("--eta is required (or use --sweep)")
-    return _fold([_tp_entry(ns[0], _parse_eta(args.eta))], sweep=False)
+    etas = TP_SWEEP_ETAS if args.sweep else [_parse_eta(args.eta)]
+    return _fold(_tp_sweep(ns, etas), args.sweep)
 
 
 def _cmd_verify_all(args) -> tuple[str, dict]:
@@ -374,22 +365,22 @@ def _cmd_verify_all(args) -> tuple[str, dict]:
     def record(name: str, ok: bool, **extra):
         checks.append({"name": name, "outcome": "pass" if ok else "fail", **extra})
 
-    def pick(entry: dict, *keys: str) -> dict:
-        return {key: entry[key] for key in keys if key in entry}
+    def record_n(command: str, good: bool, entry: dict, **extra):
+        eta = f" eta={entry['eta']}" if command == "tp-check" else ""
+        *_, keys = CHECKS[command]
+        record(f"{command} n={entry['n']}{eta}", good,
+               **{key: entry[key] for key in keys if key in entry}, **extra)
 
     # verify-u and verify-det alternate on one shared elimination trace per n
     for n in u_ns:
         trace = neville_eliminate(build_covariance(n))
-        good, entry = _u_entry(n, trace=trace)
-        record(f"verify-u n={n}", good, **pick(entry, "entries_checked", "first_mismatch"))
+        record_n("verify-u", *_u_entry(n, trace=trace))
         if n in det_ns:
             good, entry = _det_entry(n, args.oracle_bound, trace=trace)
-            record(f"verify-det n={n}", good, **pick(entry, "factored", "oracle_checked"),
-                   **({"counterexample": entry} if not good else {}))
+            record_n("verify-det", good, entry, **({"counterexample": entry} if not good else {}))
 
     for n in _sweep_ns("leading-term"):
-        good, entry = _leading_entry(n)
-        record(f"leading-term n={n}", good, **pick(entry, "closed_form", "error"))
+        record_n("leading-term", *_leading_entry(n))
 
     record("ai1-grid |i|,|j|,|n|<=10", ai1_grid_holds())
     record("ai2-grid i<=10, j<=10", ai2_grid_holds())
@@ -411,23 +402,12 @@ def _cmd_verify_all(args) -> tuple[str, dict]:
            **({"counterexample": lift_failure} if lift_failure else {}))
 
     for good, entry in _tp_sweep(_sweep_ns("tp-check")):
-        record(f"tp-check n={entry['n']} eta={entry['eta']}", good,
-               **pick(entry, "minors_checked", "min_minor"))
+        record_n("tp-check", good, entry)
 
     passed = sum(1 for c in checks if c["outcome"] == "pass")
     failed = len(checks) - passed
     details = {"checks": checks, "summary": {"passed": passed, "failed": failed}}
     return ("pass" if failed == 0 else "fail"), details
-
-
-_HANDLERS = {
-    "verify-u": _cmd_verify_u,
-    "verify-det": _cmd_verify_det,
-    "leading-term": _cmd_leading_term,
-    "multiset": _cmd_multiset,
-    "tp-check": _cmd_tp_check,
-    "verify-all": _cmd_verify_all,
-}
 
 
 # -- report emission --------------------------------------------------------
@@ -444,24 +424,19 @@ def _echo_inputs(args) -> dict:
 
 
 def _text_block(value, indent: int = 0) -> list[str]:
+    """Indented lines of a dict ("key: value") or a list ("- value"), nesting below a header."""
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_block(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {item}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_text_block(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {item}")
+        labelled = ((f"{pad}{key}:", item) for key, item in value.items())
     else:
-        lines.append(f"{pad}{value}")
+        labelled = ((f"{pad}-", item) for item in value)
+    lines: list[str] = []
+    for label, item in labelled:
+        if isinstance(item, (dict, list)):
+            lines.append(label)
+            lines.extend(_text_block(item, indent + 1))
+        else:
+            lines.append(f"{label} {item}")
     return lines
 
 
@@ -510,7 +485,7 @@ def _run(argv) -> int:
         }
 
     try:
-        outcome, details = _HANDLERS[args.command](args)
+        outcome, details = args.handler(args)
     except (SideConditionError, ValueError) as exc:
         if args.format == "json":
             print(json.dumps(finish("error", {"error": str(exc)}), indent=2))

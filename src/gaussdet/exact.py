@@ -1,11 +1,7 @@
-"""Exact integer polynomial arithmetic and exact series coefficients.
+"""Exact integer polynomial arithmetic.
 
-Everything in this module is exact and immutable:
-
-* ``EtaPoly`` is a dense univariate polynomial in the formal variable eta
-  with ``int`` coefficients, whose ``/`` is exact division;
-* ``series_one_minus_exp`` gives the coefficients of a power series in a
-  single variable t, cut off at a fixed order, as a tuple of ``Fraction``.
+``EtaPoly`` is a dense univariate polynomial in the formal variable eta with
+``int`` coefficients, whose ``/`` is exact division; it is immutable.
 
 Every stage entry of the elimination is an integer polynomial: each pivot is
 a product of h-factors with leading coefficient +-1, so every quotient
@@ -21,7 +17,6 @@ keep the term-by-term loops.
 
 from __future__ import annotations
 
-import math
 import struct
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -333,21 +328,3 @@ def _exact_quotient(a: EtaPoly, b: EtaPoly) -> EtaPoly:
     if any(rem):
         raise ArithmeticError(f"{b} does not divide {a} over the integers")
     return EtaPoly(quot)
-
-
-def series_one_minus_exp(x: int, order: int) -> tuple[Fraction, ...]:
-    """Coefficients of 1 - exp(-2*x*t) up to t^order (index = power of t).
-
-    The constant term is zero and the coefficient of t^m is -(-2x)^m / m!,
-    so the linear term is 2x*t.
-    """
-    if not isinstance(x, int) or x < 1:
-        raise ValueError(f"x must be an integer >= 1, got {x!r}")
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    coeffs = [Fraction(0)]
-    power = 1
-    for m in range(1, order + 1):
-        power *= -2 * x
-        coeffs.append(Fraction(-power, math.factorial(m)))
-    return tuple(coeffs)

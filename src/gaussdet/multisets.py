@@ -39,10 +39,18 @@ class LiftDualityError(AssertionError):
         self.difference = difference
 
 
+def _require_ints(values: Iterable) -> None:
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise TypeError(f"int element or multiplicity expected, got {type(bad).__name__}")
+
+
 class SignedMultiset:
     """Integer multiset whose multiplicities may be negative.
 
-    Zero multiplicities are never stored, so equality and hashing are
+    Elements and multiplicities are ``int``; any other type (``bool``,
+    ``float`` or ``Fraction`` among them) is a ``TypeError``.  Zero
+    multiplicities are never stored, so equality and hashing are
     structural.  The text form lists elements in ascending order with a
     ``^multiplicity`` suffix when the multiplicity is not one, e.g.
     ``{0, 2, 3, 6^2, 9}`` or ``{1^-1, 5}``.
@@ -51,16 +59,25 @@ class SignedMultiset:
     __slots__ = ("_mult",)
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
+        elements = list(elements)
+        _require_ints(elements)
         mult: dict[int, int] = {}
         for e in elements:
             mult[e] = mult.get(e, 0) + 1
-        self._mult = {e: m for e, m in mult.items() if m}
+        self._mult = mult
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "SignedMultiset":
         """Build from an element -> multiplicity mapping (zeros dropped)."""
+        _require_ints(counts.keys())
+        _require_ints(counts.values())
+        return cls._of({e: m for e, m in counts.items() if m})
+
+    @classmethod
+    def _of(cls, mult: dict[int, int]) -> "SignedMultiset":
+        # mult holds checked ints and no zero multiplicity
         ms = cls.__new__(cls)
-        ms._mult = {int(e): int(m) for e, m in counts.items() if m}
+        ms._mult = mult
         return ms
 
     def items(self) -> tuple[tuple[int, int], ...]:
@@ -80,11 +97,11 @@ class SignedMultiset:
                 out[e] = new
             else:
                 out.pop(e, None)
-        return SignedMultiset.from_counts(out)
+        return SignedMultiset._of(out)
 
     def negate(self) -> "SignedMultiset":
         """Flip every multiplicity; union with the result cancels exactly."""
-        return SignedMultiset.from_counts({e: -m for e, m in self._mult.items()})
+        return SignedMultiset._of({e: -m for e, m in self._mult.items()})
 
     def difference(self, other: "SignedMultiset") -> "SignedMultiset":
         """self with other formally subtracted; empty iff the two are equal."""
@@ -176,7 +193,7 @@ def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
         # P_depth(k): how many choices of the coordinates after k have each sum
         for e, m in enumerate(chains[depth], spec.alpha + spec.beta * k + pinned * k):
             counts[e] = counts.get(e, 0) + m
-    return SignedMultiset.from_counts(counts)
+    return SignedMultiset._of({e: m for e, m in counts.items() if m})
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,13 @@ from typing import Sequence
 
 # Largest n the sweep accepts: C(2n, n) - 1 minors, 12,869 at n = 8.
 MAX_N = 8
+# Largest estimated size, in bits, of the minors at one eta.  An order-k minor
+# at eta = p/q is an integer polynomial in eta of degree at most k(n-1)^2 whose
+# coefficients have absolute sum at most k!, so its numerator and denominator
+# over q^(k(n-1)^2) have at most n(n-1)^2 times the bits of q (p < q), plus
+# log2(8!) < 16 bits.  Python prints an int of up to 4,300 digits (14,284 bits),
+# so every minor this limit admits renders.
+MAX_MINOR_BITS = 14_000
 
 
 @dataclass(frozen=True)
@@ -142,8 +149,9 @@ def all_minors_positive(n: int, eta_value) -> TpReport:
     """Evaluate every square minor exactly and report positivity and the minimum.
 
     The minimum's ties are broken by lexicographic (rows, cols) order, so the
-    report is independent of evaluation schedule.  A size above MAX_N is
-    refused before any minor is evaluated.
+    report is independent of evaluation schedule.  A size above MAX_N, or an
+    eta whose minors could exceed MAX_MINOR_BITS, is refused before any minor
+    is evaluated.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -154,6 +162,13 @@ def all_minors_positive(n: int, eta_value) -> TpReport:
         )
     eta = _validate_eta(eta_value)
     p, q = eta.numerator, eta.denominator
+    bits = n * (n - 1) ** 2 * q.bit_length()
+    if bits > MAX_MINOR_BITS:
+        raise ValueError(
+            f"n = {n} at an eta whose denominator has {q.bit_length()} bits would give minors "
+            f"of up to about n(n-1)^2 * {q.bit_length()} = {bits:,} bits; "
+            f"the all-minors probe is limited to {MAX_MINOR_BITS:,} bits"
+        )
     # With eta = p/q, eta^((i-j)^2) = eta^(i^2) * eta^(j^2) * (q/p)^(2ij), so scaling
     # row i by p^(2in) leaves the integer q^(2ij) * p^(2i(n-j)).  The minor on rows
     # R, cols C is its integer determinant times prod_R eta^(i^2) / p^(2in) *

@@ -290,13 +290,31 @@ def test_tp_check_above_the_limit_is_refused_before_work(run, monkeypatch):
         raise AssertionError("minors were evaluated")
 
     monkeypatch.setattr(tpprobe, "_laplace_minors", no_work)
-    code, report = run_json(run, "tp-check", "--n", "9", "--eta", "1/2")
-    assert code == 2
-    assert report["outcome"] == "error"
-    assert report["details"]["error"] == (
-        "n = 9 would evaluate C(18, 9) - 1 = 48,619 minors; "
-        "the all-minors probe is limited to n <= 8"
-    )
+    for n, eta, error in [
+        ("9", "1/2", "n = 9 would evaluate C(18, 9) - 1 = 48,619 minors; "
+                     "the all-minors probe is limited to n <= 8"),
+        # 8 * 7^2 * 200 bits: rendered, such minors overflow Python's 4,300-digit int printing
+        ("8", f"1/{10 ** 60}", "n = 8 at an eta whose denominator has 200 bits would give "
+                               "minors of up to about n(n-1)^2 * 200 = 78,400 bits; "
+                               "the all-minors probe is limited to 14,000 bits"),
+        ("8", f"1/{2 ** 35}", "n = 8 at an eta whose denominator has 36 bits would give "
+                              "minors of up to about n(n-1)^2 * 36 = 14,112 bits; "
+                              "the all-minors probe is limited to 14,000 bits"),
+    ]:
+        code, report = run_json(run, "tp-check", "--n", n, "--eta", eta)
+        assert code == 2
+        assert report["outcome"] == "error"
+        assert report["details"]["error"] == error
+
+
+def test_tp_check_widest_admitted_eta_renders(run):
+    # 35 bits is the widest denominator admitted at n = 8 (8 * 7^2 * 35 = 13,720 bits)
+    eta = Fraction(2 ** 34, 2 ** 35 - 1)
+    code, report = run_json(run, "tp-check", "--n", "8", "--eta", str(eta))
+    assert code == 0
+    assert report["details"]["minors_checked"] == 12_869
+    assert report["details"]["all_positive"] is True
+    assert Fraction(report["details"]["min_minor"]["value"]) > 0
 
 
 # -- envelope, formats, determinism ---------------------------------------------------
@@ -583,3 +601,103 @@ def test_failed_leading_term_is_one_failed_check_of_verify_all(run, monkeypatch)
     code, report = run_json(run, "leading-term", "--n", "5")
     assert code == 1
     assert report["details"] == {"n": 5, "error": "series leading coefficient 0 != 294912"}
+
+
+def _mismatch_at_n4(real):
+    from gaussdet.closedform import AgreementReport
+
+    def broken(n, trace=None):
+        report = real(n, trace=trace)
+        if n != 4:
+            return report
+        return AgreementReport(4, report.entries_checked, False, (2, 3, 4), "eta^5", "eta^7")
+
+    return broken
+
+
+def _oracle_off_by_eta_at_n3(real):
+    from gaussdet.exact import EtaPoly
+
+    def broken(matrix):
+        det = real(matrix)
+        return det + EtaPoly.monomial(1) if matrix.size == 3 else det
+
+    return broken
+
+
+def _mi3_unequal_at_2_3_4(real):
+    from gaussdet.multisets import IdentityReport, SignedMultiset
+
+    def broken(identity, params):
+        report = real(identity, params)
+        if identity != "MI3" or tuple(params) != (2, 3, 4):
+            return report
+        diff = SignedMultiset.from_counts({5: 1})
+        return IdentityReport(report.identity, report.params, report.lhs,
+                              report.rhs.union(diff.negate()), False, diff)
+
+    return broken
+
+
+def _lift_fails_at_3_5_6(real):
+    from gaussdet.multisets import LiftDualityError, SignedMultiset
+
+    def broken(w, i, j):
+        if (w, i, j) == (3, 5, 6):
+            raise LiftDualityError(w, i, j, SignedMultiset.from_counts({7: 1, 9: -1}))
+        return real(w, i, j)
+
+    return broken
+
+
+def _negative_minor_at_n4_half(real):
+    def broken(n, eta):
+        report = real(n, eta)
+        if (n, eta) != (4, Fraction(1, 2)):
+            return report
+        minor = (tpprobe.MinorIndex((1, 2), (3, 4)), Fraction(-1, 64))
+        return tpprobe.TpReport(4, report.eta_value, report.minors_checked, minor, False)
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "name, breaker, failed",
+    [
+        ("verify_closed_form", _mismatch_at_n4, {
+            "name": "verify-u n=4", "outcome": "fail", "entries_checked": 64,
+            "first_mismatch": {"stage": 2, "row": 3, "col": 4,
+                               "expected": "eta^5", "actual": "eta^7"},
+        }),
+        ("brute_force_det", _oracle_off_by_eta_at_n3, {
+            "name": "verify-det n=3", "outcome": "fail", "factored": "h1^2 * h2",
+            "oracle_checked": True,
+            "counterexample": {
+                "n": 3, "factored": "h1^2 * h2", "expansion": "1 - 2*eta^2 + 2*eta^6 - eta^8",
+                "diagonal_matches": True, "oracle_checked": True, "oracle_matches": False,
+                "oracle": "1 + eta - 2*eta^2 + 2*eta^6 - eta^8",
+            },
+        }),
+        ("verify_identity", _mi3_unequal_at_2_3_4, {
+            "name": "multiset MI3 grid", "outcome": "fail", "instances": 120,
+            "failures": [{"params": [2, 3, 4], "difference": "{5}"}],
+        }),
+        ("lift_duality", _lift_fails_at_3_5_6, {
+            "name": "lift-duality w=2..5", "outcome": "fail", "instances": 100,
+            "counterexample": {"w": 3, "i": 5, "j": 6, "difference": "{7, 9^-1}"},
+        }),
+        ("all_minors_positive", _negative_minor_at_n4_half, {
+            "name": "tp-check n=4 eta=1/2", "outcome": "fail", "minors_checked": 69,
+            "min_minor": {"rows": [1, 2], "cols": [3, 4], "value": "-1/64"},
+        }),
+    ],
+    ids=["verify-u", "verify-det-oracle", "multiset", "lift-duality", "tp-check"],
+)
+def test_each_failed_check_of_verify_all_keeps_its_shape(run, monkeypatch, name, breaker, failed):
+    monkeypatch.setattr(cli, name, breaker(getattr(cli, name)))
+    code, report = run_json(run, "verify-all")
+    assert code == 1
+    checks = report["details"]["checks"]
+    assert len(checks) == 74
+    assert [check for check in checks if check["outcome"] != "pass"] == [failed]
+    assert report["details"]["summary"] == {"passed": 73, "failed": 1}

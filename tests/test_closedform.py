@@ -16,7 +16,7 @@ from gaussdet.closedform import (
     superfactorial,
     verify_closed_form,
 )
-from gaussdet.exact import EtaPoly, poly_h, series_one_minus_exp
+from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
     SymMatrix,
     brute_force_det,
@@ -24,6 +24,7 @@ from gaussdet.neville import (
     diagonal_product,
     neville_eliminate,
 )
+from test_exact import series_one_minus_exp
 
 
 # -- superfactorial ----------------------------------------------------------------

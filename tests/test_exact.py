@@ -1,12 +1,13 @@
 """Integer polynomial arithmetic, exact division, packed kernels, stage entries, and series coefficients."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gaussdet import exact
-from gaussdet.exact import EtaPoly, poly_h, series_one_minus_exp
+from gaussdet.exact import EtaPoly, poly_h
 
 polys = st.builds(EtaPoly, st.lists(st.integers(-30, 30), max_size=31))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
@@ -304,6 +305,25 @@ def test_ratfunc_arithmetic_agrees_with_evaluation(a, b, c, x):
 
 
 # -- truncated series ---------------------------------------------------------
+
+
+def series_one_minus_exp(x: int, order: int) -> tuple[Fraction, ...]:
+    """Coefficients of 1 - exp(-2*x*t) up to t^order (index = power of t).
+
+    The constant term is zero and the coefficient of t^m is -(-2x)^m / m!,
+    so the linear term is 2x*t.  This is the ``Fraction`` oracle that
+    ``closedform.series_determinant`` is checked against.
+    """
+    if not isinstance(x, int) or x < 1:
+        raise ValueError(f"x must be an integer >= 1, got {x!r}")
+    if not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    coeffs = [Fraction(0)]
+    power = 1
+    for m in range(1, order + 1):
+        power *= -2 * x
+        coeffs.append(Fraction(-power, math.factorial(m)))
+    return tuple(coeffs)
 
 
 def test_series_one_minus_exp_order_three():

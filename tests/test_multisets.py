@@ -1,5 +1,6 @@
 """Simplicial multiset counts, signed-multiset algebra, and the identities."""
 
+from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
@@ -205,6 +206,38 @@ def test_union_commutes_and_associates(a, b, c):
     ma, mb, mc = (SignedMultiset.from_counts(x) for x in (a, b, c))
     assert ma.union(mb) == mb.union(ma)
     assert ma.union(mb).union(mc) == ma.union(mb.union(mc))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SignedMultiset.from_counts({1.5: 1, 2: 0.9}),
+        lambda: SignedMultiset.from_counts({1: 0.9}),
+        lambda: SignedMultiset.from_counts({2.0: 1}),
+        lambda: SignedMultiset.from_counts({True: 1}),
+        lambda: SignedMultiset.from_counts({1: True}),
+        lambda: SignedMultiset.from_counts({Fraction(1): 1}),
+        lambda: SignedMultiset.from_counts({1: Fraction(2)}),
+        lambda: SignedMultiset([1.5]),
+        lambda: SignedMultiset([1, 1.0]),
+        lambda: SignedMultiset([False]),
+        lambda: SignedMultiset([Fraction(3)]),
+    ],
+    ids=["float-both", "float-multiplicity", "integral-float", "bool-element",
+         "bool-multiplicity", "fraction-element", "fraction-multiplicity", "float-element",
+         "float-after-int", "bool-in-list", "fraction-in-list"],
+)
+def test_non_int_elements_and_multiplicities_raise_type_error(build):
+    with pytest.raises(TypeError, match="int element or multiplicity expected"):
+        build()
+
+
+def test_union_and_negate_keep_ints_and_drop_zeros():
+    a = SignedMultiset.from_counts({1: 2, 3: -1, 4: 0})
+    assert a.items() == ((1, 2), (3, -1))
+    for result in (a.union(a.negate()), a.negate(), a.union(a)):
+        assert all(type(e) is int and type(m) is int and m for e, m in result.items())
+    assert a.union(a.negate()) == SignedMultiset()
 
 
 def test_rendering_golden():
