@@ -20,9 +20,7 @@ from .multisets import (
 from .neville import (
     EliminationTrace,
     SymMatrix,
-    ZeroPivotError,
     brute_force_det,
-    build_covariance,
     diagonal_product,
     neville_eliminate,
 )
@@ -60,9 +58,7 @@ __all__ = [
     "verify_identity",
     "EliminationTrace",
     "SymMatrix",
-    "ZeroPivotError",
     "brute_force_det",
-    "build_covariance",
     "diagonal_product",
     "neville_eliminate",
     "AgreementReport",

@@ -35,13 +35,7 @@ from .multisets import (
     lift_duality,
     verify_identity,
 )
-from .neville import (
-    ORACLE_MAX_N,
-    brute_force_det,
-    build_covariance,
-    diagonal_product,
-    neville_eliminate,
-)
+from .neville import ORACLE_MAX_N, brute_force_det, diagonal_product, neville_eliminate
 from .tpprobe import all_minors_positive
 
 SCHEMA_VERSION = "1"
@@ -51,16 +45,15 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# largest --n of the symbolic commands, whose cost grows steeply with n (at
-# n = 20 about 2.3 s for verify-u on a 2-vCPU Xeon); GAUSSDET_MAX_N may only lower it
-SYMBOLIC_MAX_N = 20
 # Each n-indexed check: the first and last n of its --sweep (GAUSSDET_MAX_N lowers
 # the last), its largest --n (None where the check refuses a large n itself), and
-# the keys of its entry that verify-all reports
+# the keys of its entry that verify-all reports.  The symbolic limits keep each
+# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 6 s, and
+# leading-term's series product grows as n^6; GAUSSDET_MAX_N may only lower them.
 CHECKS = {
-    "verify-u": (1, 10, SYMBOLIC_MAX_N, ("entries_checked", "first_mismatch")),
-    "verify-det": (1, 10, SYMBOLIC_MAX_N, ("factored", "oracle_checked")),
-    "leading-term": (2, 8, SYMBOLIC_MAX_N, ("closed_form", "error")),
+    "verify-u": (1, 10, 30, ("entries_checked", "first_mismatch")),
+    "verify-det": (1, 10, 30, ("factored", "oracle_checked")),
+    "leading-term": (2, 8, 20, ("closed_form", "error")),
     "tp-check": (1, 7, None, ("minors_checked", "min_minor")),
 }
 TP_SWEEP_ETAS = ("1/10", "1/4", "1/2", "3/4", "9/10")
@@ -191,8 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- per-check entries and the grids they run over -----------------------------
 
 
-def _u_entry(n: int, trace=None) -> tuple[bool, dict]:
-    report = verify_closed_form(n, trace=trace)
+def _u_entry(n: int, trace) -> tuple[bool, dict]:
+    """verify-u at n, on the leading n-point part of the trace."""
+    report = verify_closed_form(n, trace=trace.leading(n))
     entry: dict = {"n": n, "entries_checked": report.entries_checked, "agree": report.agree}
     if not report.agree:
         s, i, j = report.first_mismatch
@@ -206,11 +200,11 @@ def _u_entry(n: int, trace=None) -> tuple[bool, dict]:
     return report.agree, entry
 
 
-def _det_entry(n: int, oracle_bound: int, trace=None) -> tuple[bool, dict]:
+def _det_entry(n: int, oracle_bound: int, trace) -> tuple[bool, dict]:
+    """verify-det at n, on the leading n-point part of the trace."""
     factored = factored_determinant(n)
     expansion = factored.expand()
-    if trace is None:
-        trace = neville_eliminate(build_covariance(n))
+    trace = trace.leading(n)
     diagonal = diagonal_product(trace)
     ok = diagonal == expansion
     entry: dict = {
@@ -303,13 +297,16 @@ def _tp_sweep(ns: range, etas=TP_SWEEP_ETAS):
 
 
 def _cmd_verify_u(args) -> tuple[str, dict]:
-    return _fold((_u_entry(n) for n in _ns(args)), args.sweep)
+    ns = _ns(args)
+    trace = neville_eliminate(ns[-1])
+    return _fold((_u_entry(n, trace) for n in ns), args.sweep)
 
 
 def _cmd_verify_det(args) -> tuple[str, dict]:
     ns = _ns(args)
     _check_oracle_bound(args.oracle_bound, ns[-1])
-    return _fold((_det_entry(n, args.oracle_bound) for n in ns), args.sweep)
+    trace = neville_eliminate(ns[-1])
+    return _fold((_det_entry(n, args.oracle_bound, trace) for n in ns), args.sweep)
 
 
 def _cmd_leading_term(args) -> tuple[str, dict]:
@@ -371,12 +368,12 @@ def _cmd_verify_all(args) -> tuple[str, dict]:
         record(f"{command} n={entry['n']}{eta}", good,
                **{key: entry[key] for key in keys if key in entry}, **extra)
 
-    # verify-u and verify-det alternate on one shared elimination trace per n
+    # verify-u and verify-det alternate on the leading parts of one elimination
+    trace = neville_eliminate(u_ns[-1])
     for n in u_ns:
-        trace = neville_eliminate(build_covariance(n))
-        record_n("verify-u", *_u_entry(n, trace=trace))
+        record_n("verify-u", *_u_entry(n, trace))
         if n in det_ns:
-            good, entry = _det_entry(n, args.oracle_bound, trace=trace)
+            good, entry = _det_entry(n, args.oracle_bound, trace)
             record_n("verify-det", good, entry, **({"counterexample": entry} if not good else {}))
 
     for n in _sweep_ns("leading-term"):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exact import EtaPoly, poly_h
 from .multisets import SimplexSpec, enumerate_simplex
-from .neville import EliminationTrace, build_covariance, neville_eliminate
+from .neville import EliminationTrace, neville_eliminate
 
 
 def superfactorial(n: int) -> int:
@@ -71,10 +71,13 @@ def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
 
 
 def _h_prefixes(j: int) -> list[EtaPoly]:
-    """h_{j-1}...h_{j-s+1} at index s - 1 for every 1 <= s <= j, each by one product."""
+    """h_{j-1}...h_{j-s+1}, read in z = eta^2, at index s - 1 for every 1 <= s <= j.
+
+    Each is one product by h_q = 1 - z^q.
+    """
     row = [EtaPoly.one()]
     for x in range(1, j):
-        row.append(row[-1] * poly_h(j - x))
+        row.append(row[-1] * (1 - EtaPoly.monomial(j - x)))
     return row
 
 
@@ -85,16 +88,14 @@ def _u_value(s: int, i: int, j: int, h_prefixes: list[EtaPoly]) -> EtaPoly:
         return _u_value(i, i, j, h_prefixes)
     if j <= s - 1:
         return EtaPoly.zero()
-    value = EtaPoly.monomial((i - j) ** 2)
     if s == 1:
-        return value
-    value = value * h_prefixes[s - 1]
+        return EtaPoly.monomial((i - j) ** 2)
     exponents = enumerate_simplex(SimplexSpec(s - 1, 0, j - s + 1, 1, i - s + 1)).items()
-    # the sum of eta^(2e) over the multiset, as one dense coefficient list
-    powers = [0] * (2 * exponents[-1][0] + 1)
+    # the sum of z^e over the multiset, as one dense coefficient list
+    powers = [0] * (exponents[-1][0] + 1)
     for e, mult in exponents:
-        powers[2 * e] = mult
-    return value * EtaPoly(powers)
+        powers[e] = mult
+    return (h_prefixes[s - 1] * EtaPoly(powers)).in_eta((i - j) ** 2)
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def verify_closed_form(n: int, trace: EliminationTrace | None = None) -> Agreeme
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if trace is None:
-        trace = neville_eliminate(build_covariance(n))
+        trace = neville_eliminate(n)
     if trace.n != n:
         raise ValueError(f"trace has {trace.n} stages, expected {n}")
     h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]

@@ -17,6 +17,7 @@ keep the term-by-term loops.
 
 from __future__ import annotations
 
+import operator
 import struct
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -82,6 +83,12 @@ def _unpack(value: int, count: int) -> list[int]:
     return list(struct.unpack(f"<{count}q", ((value + top) ^ top).to_bytes(8 * count, "little")))
 
 
+def _padded(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """a and b with zeros appended to the shorter, so both have the same length."""
+    pad = len(a) - len(b)
+    return (a, b + (0,) * pad) if pad >= 0 else (a + (0,) * -pad, b)
+
+
 def _packed_product(a, b) -> list[int] | None:
     """Coefficients of the product of two integer coefficient sequences, neither all zero.
 
@@ -141,6 +148,18 @@ class EtaPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._coeffs) - 1
 
+    def in_eta(self, shift: int = 0) -> "EtaPoly":
+        """eta^shift * self(eta^2): this polynomial read in z = eta^2, mapped back to eta."""
+        if shift < 0:
+            raise ValueError("eta shift must be >= 0")
+        if not self._coeffs:
+            return self
+        coeffs = [0] * (shift + 2 * len(self._coeffs) - 1)
+        coeffs[shift::2] = self._coeffs
+        out = EtaPoly.__new__(EtaPoly)
+        out._coeffs = tuple(coeffs)
+        return out
+
     # An elimination stage entry as numerator over the constant one: the
     # interface that perfbench/tracer.py::_entry_size reads, their only
     # reader.  Both go once _entry_size reads an EtaPoly itself.
@@ -179,13 +198,7 @@ class EtaPoly:
         other = EtaPoly._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return EtaPoly(out)
+        return EtaPoly(map(operator.add, *_padded(self._coeffs, other._coeffs)))
 
     __radd__ = __add__
 
@@ -198,13 +211,13 @@ class EtaPoly:
         other = EtaPoly._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return EtaPoly(map(operator.sub, *_padded(self._coeffs, other._coeffs)))
 
     def __rsub__(self, other):
         other = EtaPoly._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if type(other) is int:
@@ -218,6 +231,10 @@ class EtaPoly:
         terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
         if terms_a > terms_b:
             a, b = b, a
+        if min(terms_a, terms_b) == 1:
+            # a is c*eta^k: shift b by k places and scale it by c
+            c = a[-1]
+            return EtaPoly((0,) * (len(a) - 1) + (b if c == 1 else tuple(c * x for x in b)))
         if min(terms_a, terms_b) >= _PACKED_MIN_TERMS:
             packed = _packed_product(a, b)
             if packed is not None:

@@ -1,18 +1,19 @@
-"""Gaussian-covariance matrices and stage-by-stage pivot-free elimination.
+"""Pivot-free elimination of the Gaussian covariance matrix, stage by stage.
 
 The matrix under study has entries eta^((i-j)^2) for evenly spaced points
 (the common variance factor sigma_z^2 is not an input: this is V / sigma_z^2).
 Elimination proceeds without pivoting: stage s+1 subtracts, from every entry
 with row and column beyond s, the product of its row's and column's stage-s
 entries over the stage-s pivot.  Every stage is recorded so the trace can be
-compared entry by entry against closed forms.  Symbolic entries are integer
+compared entry by entry against closed forms.  Stage entries are integer
 eta-polynomials (``EtaPoly``), whose ``/`` is exact division: every quotient
 divides exactly, and one that does not is an ArithmeticError naming its
-stage, row and column.  Numeric entries are ``Fraction``s, so no stage entry
-is ever a float.
+stage, row and column.
 
-Matrices are immutable once built; elimination is sequential across stages
-but pure, so traces can be shared freely across threads.
+The elimination runs in z = eta^2 on the upper half of the symmetric active
+block (see ``neville_eliminate``); the trace it records is in eta.  Matrices
+and traces are immutable once built, so they can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ Entry = Union[int, Fraction, EtaPoly]
 ORACLE_MAX_N = 8
 
 
-class ZeroPivotError(ArithmeticError):
-    """A stage pivot was zero, so pivot-free elimination cannot continue."""
-
-    def __init__(self, stage: int) -> None:
-        super().__init__(f"zero pivot at stage {stage}")
-        self.stage = stage
-
-
 def _exact_entry(value: Entry) -> Fraction | EtaPoly:
     if type(value) is int:
         return Fraction(value)
@@ -50,8 +43,8 @@ def _exact_entry(value: Entry) -> Fraction | EtaPoly:
 class SymMatrix:
     """Square matrix of exact entries: rationals or integer eta-polynomials.
 
-    An ``int`` entry is stored as a ``Fraction``, so that elimination
-    quotients stay exact; an entry of any other type (``float`` and
+    An ``int`` entry is stored as a ``Fraction``, so that quotients of
+    entries stay exact; an entry of any other type (``float`` and
     ``bool`` among them) is a ``TypeError``.  ``entry(i, j)`` is 1-based,
     matching the row/column conventions of the elimination stages.
     """
@@ -63,6 +56,13 @@ class SymMatrix:
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("a nonempty square matrix is required")
         self._rows = rows
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[EtaPoly, ...], ...]) -> "SymMatrix":
+        """The matrix of rows that are already square tuples of EtaPoly, kept as they are."""
+        matrix = cls.__new__(cls)
+        matrix._rows = rows
+        return matrix
 
     @property
     def size(self) -> int:
@@ -108,53 +108,64 @@ class EliminationTrace:
         """The (s, s) entry at stage s, where it has stabilized."""
         return self.stage(s).entry(s, s)
 
+    def leading(self, k: int) -> "EliminationTrace":
+        """The k-point trace: the first k stages, each cut to its leading k x k block.
 
-def build_covariance(n: int) -> SymMatrix:
-    """The symbolic n x n matrix with entry (i, j) = eta^((i-j)^2).
+        Stage s+1 computes entry (i, j) from entries (i, j), (i, s), (s, j) and
+        (s, s) of stage s, so the leading block of the n-point stages is the
+        elimination of the leading k-point covariance.
+        """
+        if not 1 <= k <= self.n:
+            raise IndexError(f"leading size {k} outside 1..{self.n}")
+        if k == self.n:
+            return self
+        return EliminationTrace(tuple(
+            SymMatrix._of(tuple(row[:k] for row in stage.rows[:k])) for stage in self.stages[:k]
+        ))
 
-    This is V / sigma_z^2; the full determinant is sigma_z^(2n) times its
-    determinant.
+
+def neville_eliminate(n: int) -> EliminationTrace:
+    """Pivot-free elimination of the n-point covariance, recording every stage.
+
+    Stage 1 is the matrix eta^((i-j)^2).  Every stage-s entry is
+    eta^((i-j)^2) * Q(s, i, j)(z) with z = eta^2, since
+    (i-s)^2 + (s-j)^2 = (i-j)^2 + 2(i-s)(j-s), so the stage rule
+    U(s+1,i,j) = U(s,i,j) - U(s,i,s)*U(s,s,j)/U(s,s,s) becomes
+    Q(s+1,i,j) = Q(s,i,j) - z^((i-s)(j-s)) * Q(s,i,s)*Q(s,s,j)/Q(s,s,s).
+    Only the current active block is kept in z, and only its j >= i half:
+    the block stays symmetric, so the (j, i) entry of the trace is the same
+    object as the (i, j) entry.  A row that leaves the active block keeps
+    the one tuple it had there at every later stage.  A quotient that does
+    not divide exactly raises ArithmeticError naming the stage, row and
+    column of the entry being computed.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return SymMatrix(
-        [[EtaPoly.monomial((i - j) ** 2) for j in range(n)] for i in range(n)]
-    )
-
-
-def neville_eliminate(v: SymMatrix) -> EliminationTrace:
-    """Run pivot-free elimination, recording every stage.
-
-    Stage s+1 copies rows 1..s, zeroes column s below the diagonal, and
-    updates every remaining entry by the stage-s rule
-    U(s+1,i,j) = U(s,i,j) - U(s,i,s)*U(s,s,j)/U(s,s,s).  A zero pivot is a
-    hard error: it falsifies the premise of the method for the input.  So is
-    a quotient that does not divide exactly: its ArithmeticError is raised
-    again naming the stage, row and column of the entry being computed.
-    """
-    n = v.size
-    stages = [v]
-    current = [list(row) for row in v.rows]
-    for s in range(1, n):
-        pivot = current[s - 1][s - 1]
-        if pivot == 0:
-            raise ZeroPivotError(s)
-        zero = pivot - pivot  # additive zero of the entries
-        nxt = [list(row) for row in current]
+    zero = EtaPoly.zero()
+    # q[i][j - i] is Q(s, i, j) for the active rows i >= s (0-based) and j >= i
+    q = [[EtaPoly.one()] * (n - i) for i in range(n)]
+    frozen: list[tuple[EtaPoly, ...]] = []
+    stages = []
+    for s in range(n):
+        active: list[tuple[EtaPoly, ...]] = []
         for i in range(s, n):
-            nxt[i][s - 1] = zero
-            row_factor = current[i][s - 1]
-            for j in range(s, n):
-                product = row_factor * current[s - 1][j]
+            row = [zero] * s
+            row += [active[j - s][i] for j in range(s, i)]
+            row += [q[i][j - i].in_eta((j - i) ** 2) for j in range(i, n)]
+            active.append(tuple(row))
+        stages.append(SymMatrix._of((*frozen, *active)))
+        frozen.append(active[0])
+        pivot_row, q[s] = q[s], None
+        for i in range(s + 1, n):
+            row_factor = pivot_row[i - s]
+            for j in range(i, n):
                 try:
-                    quotient = product / pivot
+                    quotient = row_factor * pivot_row[j - s] / pivot_row[0]
                 except ArithmeticError as exc:
                     raise ArithmeticError(
-                        f"inexact quotient at stage {s + 1}, row {i + 1}, column {j + 1}: {exc}"
+                        f"inexact quotient at stage {s + 2}, row {i + 1}, column {j + 1}: {exc}"
                     ) from exc
-                nxt[i][j] = current[i][j] - quotient
-        stages.append(SymMatrix(nxt))
-        current = nxt
+                q[i][j - i] = q[i][j - i] - EtaPoly.monomial((i - s) * (j - s)) * quotient
     return EliminationTrace(tuple(stages))
 
 

@@ -36,10 +36,9 @@ def forbid_checks(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a check ran")
 
-    for name in ("verify_closed_form", "neville_eliminate", "build_covariance",
-                 "factored_determinant", "brute_force_det", "leading_term",
-                 "verify_identity", "lift_duality", "all_minors_positive",
-                 "ai1_grid_holds", "ai2_grid_holds"):
+    for name in ("verify_closed_form", "neville_eliminate", "factored_determinant",
+                 "brute_force_det", "leading_term", "verify_identity", "lift_duality",
+                 "all_minors_positive", "ai1_grid_holds", "ai2_grid_holds"):
         monkeypatch.setattr(cli, name, no_work)
 
 
@@ -371,6 +370,20 @@ def test_sweep_reports_are_pinned(run, argv, digest):
     assert floats_in(json.loads(out)) == []
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("verify-u", "--n", "20"), "f0045cbd3ff0cf09"),
+        (("verify-det", "--n", "20"), "db4f6686260b0a54"),
+    ],
+)
+def test_reports_at_n_twenty_are_pinned(run, argv, digest):
+    # recorded with the elimination on the whole eta block, before it moved to z
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 0
+    assert report_digest(out) == digest
+
+
 def floats_in(value):
     """Every float anywhere in a parsed JSON value; exact reports carry none."""
     if isinstance(value, float):
@@ -448,25 +461,52 @@ def test_sweep_refuses_conflicting_flags_before_any_work(run, monkeypatch, argv)
 
 
 @pytest.mark.parametrize("command", ["verify-u", "verify-det", "leading-term"])
-@pytest.mark.parametrize("cap", [None, "30"])
+@pytest.mark.parametrize("cap", [None, "40"])
 def test_symbolic_n_above_the_limit_is_refused_before_work(run, monkeypatch, command, cap):
     # GAUSSDET_MAX_N above the limit does not raise it
+    limit = cli.CHECKS[command][2]
     if cap is not None:
         monkeypatch.setenv("GAUSSDET_MAX_N", cap)
     forbid_checks(monkeypatch)
-    code, report = run_json(run, command, "--n", "21")
+    code, report = run_json(run, command, "--n", str(limit + 1))
     assert code == 2
     assert report["outcome"] == "error"
-    assert report["details"]["error"] == f"n = 21 exceeds the {command} limit n <= 20"
+    assert report["details"]["error"] == f"n = {limit + 1} exceeds the {command} limit n <= {limit}"
+
+
+def test_symbolic_limits():
+    limits = {command: cli.CHECKS[command][2] for command in ("verify-u", "verify-det", "leading-term")}
+    assert limits == {"verify-u": 30, "verify-det": 30, "leading-term": 20}
 
 
 @pytest.mark.parametrize("command", ["verify-u", "verify-det", "leading-term"])
 def test_symbolic_limit_admits_n_twenty(run, monkeypatch, command):
+    # n = 20 and the command's own limit both run
+    monkeypatch.setattr(cli, "neville_eliminate", lambda n: None)
     for name in ("_u_entry", "_det_entry", "_leading_entry"):
         monkeypatch.setattr(cli, name, lambda n, *rest: (True, {"n": n}))
-    code, report = run_json(run, command, "--n", "20")
+    for n in (20, cli.CHECKS[command][2]):
+        code, report = run_json(run, command, "--n", str(n))
+        assert code == 0
+        assert report["details"] == {"n": n}
+
+
+@pytest.mark.parametrize(
+    "argv, largest",
+    [
+        (("verify-u", "--sweep"), 10),
+        (("verify-det", "--sweep"), 10),
+        (("verify-u", "--n", "6"), 6),
+        (("verify-all",), 10),
+    ],
+)
+def test_one_elimination_per_invocation_at_its_largest_n(run, monkeypatch, argv, largest):
+    calls = []
+    real = cli.neville_eliminate
+    monkeypatch.setattr(cli, "neville_eliminate", lambda n: calls.append(n) or real(n))
+    code, _, _ = run(*argv)
     assert code == 0
-    assert report["details"] == {"n": 20}
+    assert calls == [largest]
 
 
 def test_sweep_emptied_by_the_cap_is_refused(run, monkeypatch):
@@ -563,12 +603,12 @@ def test_failed_check_exits_one_with_counterexample(run, monkeypatch):
 
 def test_inexact_elimination_quotient_exits_one_naming_the_entry(run, monkeypatch):
     from gaussdet.exact import EtaPoly
-    from gaussdet.neville import SymMatrix
 
-    # pivot 1 + eta does not divide eta * eta
-    entries = [EtaPoly(c) for c in ((1, 1), (0, 1), (1,))]
-    monkeypatch.setattr(cli, "build_covariance",
-                        lambda n: SymMatrix([entries[:2], entries[1:]]))
+    # every quotient of the elimination divides by its pivot plus z, which
+    # leaves a remainder at the first entry of stage 2
+    exact_division = EtaPoly.__truediv__
+    monkeypatch.setattr(EtaPoly, "__truediv__",
+                        lambda a, b: exact_division(a, b + EtaPoly.monomial(1)))
     code, out, _ = run("verify-det", "--n", "2", "--format", "json")
     assert code == 1
     report = json.loads(out)

@@ -20,10 +20,10 @@ from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
     SymMatrix,
     brute_force_det,
-    build_covariance,
     diagonal_product,
     neville_eliminate,
 )
+from matrix_elimination import eliminate_matrix
 from test_exact import series_one_minus_exp
 
 
@@ -136,7 +136,7 @@ def test_verify_closed_form_agrees(n):
 
 
 def test_verify_closed_form_accepts_precomputed_trace():
-    trace = neville_eliminate(build_covariance(4))
+    trace = neville_eliminate(4)
     assert verify_closed_form(4, trace=trace).agree
     with pytest.raises(ValueError):
         verify_closed_form(5, trace=trace)
@@ -145,7 +145,7 @@ def test_verify_closed_form_accepts_precomputed_trace():
 def test_verify_closed_form_reports_first_mismatch():
     # a trace whose input has eta^2 for eta at the first off-diagonal entry
     one, eta, eta_sq = (EtaPoly.monomial(k) for k in range(3))
-    wrong = neville_eliminate(SymMatrix([[one, eta_sq], [eta, one]]))
+    wrong = eliminate_matrix(SymMatrix([[one, eta_sq], [eta, one]]))
     report = verify_closed_form(2, trace=wrong)
     assert not report.agree
     assert report.first_mismatch == (1, 1, 2)
@@ -192,10 +192,10 @@ def test_three_equivalent_factor_products(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_factored_equals_leibniz_and_diagonal(n):
-    v = build_covariance(n)
+    trace = neville_eliminate(n)
     expansion = factored_determinant(n).expand()
-    assert brute_force_det(v) == expansion
-    assert diagonal_product(neville_eliminate(v)) == expansion
+    assert brute_force_det(trace.stage(1)) == expansion
+    assert diagonal_product(trace) == expansion
 
 
 @pytest.mark.parametrize("n", range(2, 11))

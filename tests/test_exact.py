@@ -121,6 +121,22 @@ def test_coefficients_are_the_stored_ints():
     assert EtaPoly.one() != Fraction(1)
 
 
+def test_in_eta_reads_a_z_polynomial_in_eta():
+    q = EtaPoly((1, -2, 0, 3))  # 1 - 2z + 3z^3
+    assert q.in_eta() == EtaPoly((1, 0, -2, 0, 0, 0, 3))
+    assert q.in_eta(3) == EtaPoly.monomial(3) * q.in_eta()
+    # h_q read in z is poly_h(q)
+    assert (1 - EtaPoly.monomial(2)).in_eta() == poly_h(2)
+    assert EtaPoly.zero().in_eta(5).is_zero
+    with pytest.raises(ValueError):
+        q.in_eta(-1)
+
+
+@given(polys, st.integers(0, 9), st.fractions(-3, 3))
+def test_in_eta_is_evaluation_at_eta_squared(q, shift, x):
+    assert q.in_eta(shift)(x) == x ** shift * q(x * x)
+
+
 # -- exact division ------------------------------------------------------------
 
 

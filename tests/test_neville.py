@@ -7,12 +7,11 @@ import pytest
 from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
     SymMatrix,
-    ZeroPivotError,
     brute_force_det,
-    build_covariance,
     diagonal_product,
     neville_eliminate,
 )
+from matrix_elimination import ZeroPivotError, build_covariance, eliminate_matrix
 
 HALF = Fraction(1, 2)
 
@@ -43,6 +42,8 @@ def mono(k):
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         build_covariance(**kwargs)
+    with pytest.raises(ValueError):
+        neville_eliminate(**kwargs)
 
 
 def test_build_two_points():
@@ -90,34 +91,35 @@ def test_entry_indexing_is_one_based():
 
 
 def test_two_point_elimination():
-    trace = neville_eliminate(symbolic(2))
+    trace = neville_eliminate(2)
     assert trace.n == 2
     assert trace.stage(2).entry(2, 2) == poly_h(1)
     assert trace.stage(2).entry(2, 1) == 0
     # an int matrix eliminates over the rationals: 2 - 1 * 1 / 2 is 3/2, not 1.5
-    pivot = neville_eliminate(SymMatrix([[2, 1], [1, 2]])).stage(2).entry(2, 2)
+    pivot = eliminate_matrix(SymMatrix([[2, 1], [1, 2]])).stage(2).entry(2, 2)
     assert type(pivot) is Fraction and pivot == Fraction(3, 2)
 
 
 def test_three_point_stage_two_off_diagonal():
-    trace = neville_eliminate(symbolic(3))
+    trace = neville_eliminate(3)
     # hand application of the update: eta - eta^4 * eta / 1
     assert trace.stage(2).entry(3, 2) == EtaPoly((0, 1, 0, 0, 0, -1))
 
 
 def test_three_point_final_pivot_factors():
-    trace = neville_eliminate(symbolic(3))
+    trace = neville_eliminate(3)
     assert trace.stage(3).entry(3, 3) == poly_h(1) * poly_h(2)
 
 
 def test_first_stage_is_the_input():
     v = symbolic(4)
-    assert neville_eliminate(v).stage(1) == v
+    assert neville_eliminate(4).stage(1) == v
+    assert eliminate_matrix(v).stage(1) == v
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_trace_shape(n):
-    trace = neville_eliminate(symbolic(n))
+    trace = neville_eliminate(n)
     assert trace.n == n
     for s in range(1, n + 1):
         stage = trace.stage(s)
@@ -134,12 +136,12 @@ def test_trace_shape(n):
 def test_zero_pivot_is_reported_with_its_stage():
     singular = SymMatrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     with pytest.raises(ZeroPivotError) as excinfo:
-        neville_eliminate(singular)
+        eliminate_matrix(singular)
     assert excinfo.value.stage == 2
 
     leading_zero = SymMatrix([[0, 1], [1, 0]])
     with pytest.raises(ZeroPivotError) as excinfo:
-        neville_eliminate(leading_zero)
+        eliminate_matrix(leading_zero)
     assert excinfo.value.stage == 1
 
 
@@ -147,9 +149,9 @@ def test_zero_pivot_is_reported_with_its_stage():
 
 
 def test_diagonal_product_small_cases():
-    assert diagonal_product(neville_eliminate(symbolic(1))) == 1
-    assert diagonal_product(neville_eliminate(symbolic(2))) == poly_h(1)
-    assert diagonal_product(neville_eliminate(symbolic(3))) == EtaPoly(
+    assert diagonal_product(neville_eliminate(1)) == 1
+    assert diagonal_product(neville_eliminate(2)) == poly_h(1)
+    assert diagonal_product(neville_eliminate(3)) == EtaPoly(
         (1, 0, -2, 0, 0, 0, 2, 0, -1)
     )
 
@@ -163,26 +165,26 @@ def test_brute_force_small_cases():
 def test_brute_force_respects_size_bound():
     with pytest.raises(ValueError, match="exceeds the Leibniz oracle limit 8"):
         brute_force_det(symbolic(9))
-    assert brute_force_det(symbolic(4)) == diagonal_product(neville_eliminate(symbolic(4)))
+    assert brute_force_det(symbolic(4)) == diagonal_product(neville_eliminate(4))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_oracle_agreement_symbolic(n):
-    assert diagonal_product(neville_eliminate(symbolic(n))) == brute_force_det(symbolic(n))
+    assert diagonal_product(neville_eliminate(n)) == brute_force_det(symbolic(n))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("eta", [Fraction(1, 10), HALF, Fraction(9, 10)])
 def test_oracle_agreement_numeric(n, eta):
     v = numeric(n, eta)
-    assert diagonal_product(neville_eliminate(v)) == brute_force_det(v)
+    assert diagonal_product(eliminate_matrix(v)) == brute_force_det(v)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_symbolic_and_numeric_elimination_commute(n):
     eta = HALF
-    sym = neville_eliminate(symbolic(n))
-    num = neville_eliminate(numeric(n, eta))
+    sym = neville_eliminate(n)
+    num = eliminate_matrix(numeric(n, eta))
     for s in range(1, n + 1):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -194,7 +196,7 @@ def test_every_trace_entry_reduces_to_denominator_one(n):
     # every entry is a plain EtaPoly, with the interface that
     # perfbench/tracer.py::_entry_size reads: num and den polynomials, den one,
     # int coefficients
-    trace = neville_eliminate(symbolic(n))
+    trace = neville_eliminate(n)
     for stage in trace.stages:
         for row in stage.rows:
             for entry in row:
@@ -208,13 +210,59 @@ def test_inexact_quotient_names_stage_row_and_column():
     # the pivot 1 + eta does not divide eta * eta
     v = SymMatrix([[EtaPoly((1, 1)), mono(1)], [mono(1), mono(0)]])
     with pytest.raises(ArithmeticError, match=r"^inexact quotient at stage 2, row 2, column 2: ") as excinfo:
-        neville_eliminate(v)
+        eliminate_matrix(v)
     assert not isinstance(excinfo.value, ZeroPivotError)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("eta", [Fraction(1, 10), HALF, Fraction(9, 10)])
 def test_stabilized_pivots_are_positive(n, eta):
-    trace = neville_eliminate(symbolic(n))
+    trace = neville_eliminate(n)
     for s in range(1, n + 1):
         assert trace.diagonal(s)(eta) > 0
+
+
+# -- the covariance kernel in z = eta^2 ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_stage_entry_equals_the_matrix_elimination(n):
+    trace = neville_eliminate(n)
+    oracle = eliminate_matrix(symbolic(n))
+    assert trace.n == oracle.n == n
+    for s in range(1, n + 1):
+        assert trace.stage(s).rows == oracle.stage(s).rows
+
+
+def test_trace_shares_mirror_entries_and_frozen_rows():
+    n = 7
+    trace = neville_eliminate(n)
+    for s in range(1, n + 1):
+        rows = trace.stage(s).rows
+        # the active block is computed for j >= i only: (j, i) is (i, j)
+        for i in range(s - 1, n):
+            for j in range(i, n):
+                assert rows[j][i] is rows[i][j]
+        # row r froze at stage r + 1 (0-based r) and is that one tuple afterwards
+        for r in range(s - 1):
+            assert rows[r] is trace.stage(r + 1).rows[r]
+
+
+def test_leading_trace_is_the_smaller_elimination():
+    trace = neville_eliminate(12)
+    for k in range(1, 13):
+        leading = trace.leading(k)
+        assert leading.n == k
+        assert leading.stages == neville_eliminate(k).stages
+    assert trace.leading(12) is trace
+    for k in (0, 13):
+        with pytest.raises(IndexError):
+            trace.leading(k)
+
+
+def test_forced_inexact_quotient_names_stage_row_and_column(monkeypatch):
+    # every quotient divides by its pivot plus z, which no stage-2 quotient survives
+    exact_division = EtaPoly.__truediv__
+    monkeypatch.setattr(EtaPoly, "__truediv__", lambda a, b: exact_division(a, b + mono(1)))
+    with pytest.raises(ArithmeticError, match=r"^inexact quotient at stage 2, row 2, column 2: "):
+        neville_eliminate(3)
