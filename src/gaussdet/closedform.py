@@ -22,7 +22,7 @@ from .neville import EliminationTrace, neville_eliminate
 
 def superfactorial(n: int) -> int:
     """Product of the factorials 1! * 2! * ... * n!."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"superfactorial requires an integer n >= 1, got {n!r}")
     result = 1
     factorial = 1
@@ -133,7 +133,7 @@ class FactoredDeterminant:
 
 def factored_determinant(n: int) -> FactoredDeterminant:
     """The h-factor form of the determinant for an n-point matrix."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return FactoredDeterminant(n, tuple((q, n - q) for q in range(1, n)))
 
@@ -161,9 +161,9 @@ def series_determinant(n: int, order: int) -> tuple[Fraction, ...]:
     multiplicities are those of the h-factor form.  Index m of the tuple is
     the coefficient of t^m.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
     # Exponential generating functions: index m holds m! times the coefficient
     # of t^m, an integer for every factor (-(-2q)^m for 1 - exp(-2qt), m >= 1),
@@ -191,7 +191,7 @@ def leading_term(n: int) -> LeadingTerm:
     truncated at t^(n(n-1)/2): truncated multiplication is exact up to its
     order, so a longer series would compare the same coefficients.
     """
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise ValueError(f"n must be an integer >= 2 (n = 1 has no spacing dependence), got {n!r}")
     target = n * (n - 1) // 2
     coefficient = superfactorial(n - 1) * 2 ** target
@@ -223,7 +223,7 @@ def verify_closed_form(n: int, trace: EliminationTrace | None = None) -> Agreeme
     first mismatch, if any, is reported with both renderings.  A symbolic
     trace may be passed in to avoid re-eliminating.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if trace is None:
         trace = neville_eliminate(n)

@@ -171,10 +171,6 @@ class EtaPoly:
     def den(self) -> "EtaPoly":
         return EtaPoly((1,))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

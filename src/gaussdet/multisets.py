@@ -18,7 +18,7 @@ union with a negated multiset is an exact subtraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class SideConditionError(ValueError):
@@ -106,9 +106,6 @@ class SignedMultiset:
     def difference(self, other: "SignedMultiset") -> "SignedMultiset":
         """self with other formally subtracted; empty iff the two are equal."""
         return self.union(other.negate())
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.items())
 
     def __bool__(self) -> bool:
         return bool(self._mult)

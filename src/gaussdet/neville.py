@@ -139,7 +139,7 @@ def neville_eliminate(n: int) -> EliminationTrace:
     not divide exactly raises ArithmeticError naming the stage, row and
     column of the entry being computed.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     zero = EtaPoly.zero()
     # q[i][j - i] is Q(s, i, j) for the active rows i >= s (0-based) and j >= i

@@ -6,11 +6,12 @@ evaluates all of them exactly at a rational eta in (0, 1), so there is no
 floating-point ambiguity near zero: a nonpositive minor here would be a
 genuine counterexample.
 
-``all_minors_positive`` rescales the matrix to integers and builds every
-order-k minor by Laplace expansion along its last row from the stored
-order-(k-1) minors, k multiplications each.  ``minor_value`` evaluates a
-single minor from scratch by fraction-free (Bareiss) elimination over
-``Fraction`` and serves as the independent oracle for the sweep.
+``all_minors_positive`` works on the integer matrix q^((n-1)^2) * V at
+eta = p/q and builds every order-k minor by Laplace expansion along its last
+row from the stored order-(k-1) minors, k multiplications each.
+``minor_value`` evaluates a single minor from scratch by fraction-free
+(Bareiss) elimination over ``Fraction`` and serves as the independent oracle
+for the sweep.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from typing import Sequence
 
 # Largest n the sweep accepts: C(2n, n) - 1 minors, 12,869 at n = 8.
 MAX_N = 8
-# Largest estimated size, in bits, of the minors at one eta.  An order-k minor
-# at eta = p/q is an integer polynomial in eta of degree at most k(n-1)^2 whose
-# coefficients have absolute sum at most k!, so its numerator and denominator
-# over q^(k(n-1)^2) have at most n(n-1)^2 times the bits of q (p < q), plus
-# log2(8!) < 16 bits.  Python prints an int of up to 4,300 digits (14,284 bits),
-# so every minor this limit admits renders.
+# Largest estimated size, in bits, of the minors at one eta.  At eta = p/q every
+# entry of the integer matrix q^((n-1)^2) * V is at most q^((n-1)^2), so an
+# order-k minor has at most k(n-1)^2 times the bits of q plus log2(k!) bits;
+# scaled to the common denominator q^(n(n-1)^2), every integer the probe holds
+# has at most n(n-1)^2 times the bits of q plus log2(8!) < 16 bits.  Python
+# prints an int of up to 4,300 digits (14,284 bits), so every minor this limit
+# admits renders.
 MAX_MINOR_BITS = 14_000
 
 
@@ -71,6 +73,8 @@ class TpReport:
 
 
 def _validate_eta(eta_value) -> Fraction:
+    if type(eta_value) is not int and not isinstance(eta_value, Fraction):
+        raise TypeError(f"eta must be a Fraction or int, got {type(eta_value).__name__}")
     eta = Fraction(eta_value)
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -107,7 +111,7 @@ def _submatrix(eta: Fraction, rows: Sequence[int], cols: Sequence[int]):
 
 def minor_value(n: int, eta_value, idx: MinorIndex) -> Fraction:
     """Exact determinant of the selected submatrix at the given eta."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     eta = _validate_eta(eta_value)
     idx.validate_for(n)
@@ -153,7 +157,7 @@ def all_minors_positive(n: int, eta_value) -> TpReport:
     eta whose minors could exceed MAX_MINOR_BITS, is refused before any minor
     is evaluated.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if n > MAX_N:
         raise ValueError(
@@ -169,58 +173,26 @@ def all_minors_positive(n: int, eta_value) -> TpReport:
             f"of up to about n(n-1)^2 * {q.bit_length()} = {bits:,} bits; "
             f"the all-minors probe is limited to {MAX_MINOR_BITS:,} bits"
         )
-    # With eta = p/q, eta^((i-j)^2) = eta^(i^2) * eta^(j^2) * (q/p)^(2ij), so scaling
-    # row i by p^(2in) leaves the integer q^(2ij) * p^(2i(n-j)).  The minor on rows
-    # R, cols C is its integer determinant times prod_R eta^(i^2) / p^(2in) *
-    # prod_C eta^(j^2), which is positive because p and eta are: the integer's sign
-    # is the minor's sign.  Times the constant p^(sum 2in - i^2) * q^(2 sum i^2) that
-    # factor becomes the integer row weight times column weight below, so weighted
-    # minors of every order compare as the minors do.
-    span = range(1, n + 1)
-    scaled = [[q ** (2 * i * j) * p ** (2 * i * (n - j)) for j in span] for i in span]
-    rows_in, rows_out = [1] * n, [p ** (2 * i * n - i * i) * q ** (i * i) for i in span]
-    cols_in, cols_out = [p ** (j * j) for j in span], [q ** (j * j) for j in span]
-
-    def weight(idx: tuple[int, ...], inside: list[int], outside: list[int]) -> int:
-        w = 1
-        for i in range(n):
-            w *= inside[i] if i in idx else outside[i]
-        return w
-
+    # With eta = p/q and D = (n-1)^2, q^D * eta^((i-j)^2) is the integer
+    # p^d * q^(D-d), d = (i-j)^2.  An order-k minor of this matrix is q^(kD) times
+    # the minor of V, so det * q^((n-k)D) is q^(nD) times it for every order.
+    D = (n - 1) ** 2
+    span = range(n)
+    scaled = [[p ** ((i - j) ** 2) * q ** (D - (i - j) ** 2) for j in span] for i in span]
     checked = 0
-    all_positive = True
-    best_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    best_weighted: int | None = None
+    least = []
     for k, order in enumerate(_laplace_minors(scaled), 1):
-        col_weights = {
-            cols: weight(cols, cols_in, cols_out)
-            for cols in itertools.combinations(range(n), k)
-        }
-        for rows, dets in order.items():
-            row_weight = weight(rows, rows_in, rows_out)
-            for cols, det in dets.items():
-                checked += 1
-                if det <= 0:
-                    all_positive = False
-                value = det * row_weight * col_weights[cols]
-                key = (rows, cols)
-                if (
-                    best_weighted is None
-                    or value < best_weighted
-                    or (value == best_weighted and key < best_key)
-                ):
-                    best_weighted = value
-                    best_key = key
-    assert best_key is not None and best_weighted is not None
-    # the empty minor is 1, so its weight is the constant
-    best_value = Fraction(
-        best_weighted, weight((), rows_in, rows_out) * weight((), cols_in, cols_out)
-    )
-    rows, cols = (tuple(i + 1 for i in idx) for idx in best_key)
+        scale = q ** ((n - k) * D)
+        checked += sum(map(len, order.values()))
+        least.append(min(
+            (det * scale, rows, cols) for rows, dets in order.items() for cols, det in dets.items()
+        ))
+    value, rows, cols = min(least)
+    idx = MinorIndex(tuple(i + 1 for i in rows), tuple(j + 1 for j in cols))
     return TpReport(
         n=n,
         eta_value=eta,
         minors_checked=checked,
-        min_minor=(MinorIndex(rows, cols), best_value),
-        all_positive=all_positive,
+        min_minor=(idx, Fraction(value, q ** (n * D))),
+        all_positive=value > 0,
     )

@@ -384,6 +384,21 @@ def test_reports_at_n_twenty_are_pinned(run, argv, digest):
     assert report_digest(out) == digest
 
 
+@pytest.mark.parametrize(
+    "eta, digest",
+    [
+        (str(Fraction(2 ** 34, 2 ** 35 - 1)), "e7ab9bdb597cf593"),
+        ("1/3", "9e67d5f4fc1d4761"),
+        ("9/10", "544dac38feb4354e"),
+    ],
+)
+def test_tp_check_reports_at_n_eight_are_pinned(run, eta, digest):
+    # recorded with the minors weighted per row and column set, before one q-power per order
+    code, out, _ = run("tp-check", "--n", "8", "--eta", eta, "--format", "json")
+    assert code == 0
+    assert report_digest(out) == digest
+
+
 def floats_in(value):
     """Every float anywhere in a parsed JSON value; exact reports carry none."""
     if isinstance(value, float):

@@ -6,8 +6,14 @@ from math import comb
 
 import pytest
 
-from gaussdet.closedform import factored_determinant
-from gaussdet.neville import SymMatrix, brute_force_det
+from gaussdet.closedform import (
+    factored_determinant,
+    leading_term,
+    series_determinant,
+    superfactorial,
+    verify_closed_form,
+)
+from gaussdet.neville import SymMatrix, brute_force_det, neville_eliminate
 from gaussdet.tpprobe import (
     MinorIndex,
     _det_bareiss,
@@ -77,6 +83,10 @@ def test_minor_value_validates_eta_and_method():
         minor_value(2, Fraction(3, 2), idx)
     with pytest.raises(ValueError):
         minor_value(2, Fraction(0), idx)
+    # only exact inputs: no float's binary value, no parsed string
+    for eta in (0.5, "1/2"):
+        with pytest.raises(TypeError, match=type(eta).__name__):
+            minor_value(2, eta, idx)
 
 
 def leibniz_minor(eta, idx):
@@ -167,6 +177,30 @@ def test_all_minors_positive_validation():
         all_minors_positive(9, HALF)  # MAX_N is 8
     with pytest.raises(ValueError):
         all_minors_positive(3, Fraction(7, 5))
+    # only exact inputs: no float's binary value, no parsed string
+    for eta in (0.1, "1/2"):
+        with pytest.raises(TypeError, match=type(eta).__name__):
+            all_minors_positive(3, eta)
+
+
+BOOL_N_GUARDS = {
+    "all_minors_positive": lambda n: all_minors_positive(n, HALF),
+    "minor_value": lambda n: minor_value(n, HALF, MinorIndex((1,), (1,))),
+    "superfactorial": superfactorial,
+    "factored_determinant": factored_determinant,
+    "series_determinant-n": lambda n: series_determinant(n, 3),
+    "series_determinant-order": lambda n: series_determinant(2, n),
+    "leading_term": leading_term,
+    "verify_closed_form": verify_closed_form,
+    "neville_eliminate": neville_eliminate,
+}
+
+
+@pytest.mark.parametrize("guard", BOOL_N_GUARDS)
+def test_bool_n_is_refused(guard):
+    # bool is a subclass of int, and True would pass every n >= 1 check
+    with pytest.raises(ValueError, match="True"):
+        BOOL_N_GUARDS[guard](True)
 
 
 # -- Laplace kernel against the Bareiss oracle ------------------------------------
@@ -210,7 +244,7 @@ def test_laplace_kernel_swap_matrix():
 
 
 @pytest.mark.parametrize("eta", ORACLE_ETAS)
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_sweep_matches_bareiss_on_every_minor(n, eta):
     checked = 0
     best = None
@@ -240,19 +274,19 @@ def test_sweep_breaks_a_transposed_tie_lexicographically():
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("eta", [HALF, Fraction(9, 10), Fraction(99, 100)])
 def test_full_minor_of_the_integer_rescaling_matches_factored_determinant(n, eta):
-    # row i scaled by p^(2in); the minor is the integer determinant times
-    # prod_i eta^(i^2) / p^(2in) * prod_j eta^(j^2)
-    p, q = eta.numerator, eta.denominator
+    # q^((n-1)^2) * eta^((i-j)^2) is an integer; the full minor is q^(n(n-1)^2) times det V
+    q = eta.denominator
+    D = (n - 1) ** 2
     scaled = [
-        [q ** (2 * i * j) * p ** (2 * i * (n - j)) for j in range(1, n + 1)]
+        [q ** D * eta ** ((i - j) ** 2) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    *_, full = _laplace_minors(scaled)
+    assert all(entry.denominator == 1 for row in scaled for entry in row)
+    *_, full = _laplace_minors([[int(entry) for entry in row] for row in scaled])
     everything = tuple(range(n))
-    factor = Fraction(1)
-    for i in range(1, n + 1):
-        factor *= eta ** (2 * i * i) / p ** (2 * i * n)
-    assert full[everything][everything] * factor == factored_determinant(n).evaluate(eta)
+    assert Fraction(full[everything][everything], q ** (n * D)) == (
+        factored_determinant(n).evaluate(eta)
+    )
 
 
 @pytest.mark.parametrize("eta", [Fraction(9, 10), Fraction(99, 100)])
