@@ -252,7 +252,7 @@ class EtaPoly:
         return _exact_quotient(self, other)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
         result = EtaPoly.one()
         base = self
@@ -294,7 +294,7 @@ class EtaPoly:
 
 def poly_h(q: int) -> EtaPoly:
     """The atomic determinant factor 1 - eta^(2q), for q >= 1."""
-    if not isinstance(q, int) or q < 1:
+    if type(q) is not int or q < 1:
         raise ValueError(f"h_q requires an integer q >= 1, got {q!r}")
     return EtaPoly((1,) + (0,) * (2 * q - 1) + (-1,))
 

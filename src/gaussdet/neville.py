@@ -18,7 +18,6 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -28,7 +27,8 @@ from .exact import EtaPoly
 # a rational, or a symbolic stage entry (an integer eta-polynomial)
 Entry = Union[int, Fraction, EtaPoly]
 
-# Largest matrix size the Leibniz oracle accepts: 8! = 40,320 terms.
+# Largest matrix size the Leibniz oracle accepts: its walk still visits all
+# 8! = 40,320 permutations, though each prefix product is shared.
 ORACLE_MAX_N = 8
 
 
@@ -178,25 +178,56 @@ def diagonal_product(trace: EliminationTrace) -> Entry:
 
 
 def brute_force_det(v: SymMatrix) -> Entry:
-    """Leibniz-sum determinant: exact, O(n!), independent of elimination.
+    """Leibniz-sum determinant: exact and independent of elimination.
 
-    The factorial cost is capped at ORACLE_MAX_N.
+    A depth-first walk over the rows visits every one of the n! permutations,
+    choosing one unused column per row.  The partial product of each prefix
+    is computed once and shared by every permutation that extends it, and
+    the sign flips whenever the chosen column sits at an odd position among
+    the columns still unused (the inversions that choice adds).  Each entry
+    is read once as sparse (exponent, coefficient) terms: a nonzero rational
+    is one term at exponent 0, and a zero entry has none, so its subtree is
+    skipped.  A product step adds exponents and multiplies coefficients, so
+    on monomial entries (the covariance's) the walk has n! leaves, and an
+    entry of t terms multiplies the leaves below it by t.  Every signed term
+    goes into one exponent -> coefficient table, which becomes the result:
+    an ``EtaPoly`` for a matrix of eta-polynomials, a ``Fraction`` for a
+    rational one.  A matrix that mixes the two is a ``TypeError``.  The
+    factorial cost is capped at ORACLE_MAX_N.
     """
     n = v.size
     if n > ORACLE_MAX_N:
         raise ValueError(f"matrix size {n} exceeds the Leibniz oracle limit {ORACLE_MAX_N}")
     rows = v.rows
-    first = rows[0][0]
-    total = first - first  # additive zero of the entries
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if perm[a] > perm[b]
-        )
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        total = total - term if inversions & 1 else total + term
-    return total
+    kinds = {type(entry) for row in rows for entry in row}
+    if len(kinds) > 1:
+        names = " and ".join(sorted(kind.__name__ for kind in kinds))
+        raise TypeError(f"the Leibniz oracle needs entries of one type, got {names}")
+    symbolic = EtaPoly in kinds
+    terms = [
+        [tuple(entry.terms()) if symbolic else ((0, entry),) if entry else () for entry in row]
+        for row in rows
+    ]
+    table: dict[int, Entry] = {}
+
+    def walk(i: int, free: tuple[int, ...], exponent: int, coeff) -> None:
+        row = terms[i]
+        if i == n - 1:
+            for k, c in row[free[0]]:
+                table[exponent + k] = table.get(exponent + k, 0) + coeff * c
+            return
+        for p, col in enumerate(free):
+            entry = row[col]
+            if entry:
+                rest = free[:p] + free[p + 1:]
+                signed = -coeff if p & 1 else coeff
+                for k, c in entry:
+                    walk(i + 1, rest, exponent + k, signed * c)
+
+    walk(0, tuple(range(n)), 0, 1)
+    if not symbolic:
+        return table.get(0, Fraction(0))
+    coeffs = [0] * (max(table, default=-1) + 1)
+    for k, c in table.items():
+        coeffs[k] = c
+    return EtaPoly(coeffs)

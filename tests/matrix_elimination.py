@@ -1,13 +1,17 @@
-"""The generic elimination of any exact ``SymMatrix``: the tests' oracle.
+"""The generic elimination and Leibniz sum of any exact ``SymMatrix``: the tests' oracles.
 
 ``gaussdet.neville_eliminate`` eliminates only the covariance, in z = eta^2
 on the symmetric active block.  This is the elimination it replaced, kept
 as it was: it works on the whole n x n block of any rational or eta-poly
 matrix, so it checks the symbolic kernel entry by entry and runs the
-numeric ``Fraction`` checks.
+numeric ``Fraction`` checks.  ``leibniz_det`` is the plain Leibniz sum that
+``gaussdet.brute_force_det``'s prefix-sharing walk replaced, kept as the
+reference for that walk.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from gaussdet.exact import EtaPoly
 from gaussdet.neville import EliminationTrace, SymMatrix
@@ -68,3 +72,23 @@ def eliminate_matrix(v: SymMatrix) -> EliminationTrace:
         stages.append(SymMatrix(nxt))
         current = nxt
     return EliminationTrace(tuple(stages))
+
+
+def leibniz_det(v: SymMatrix):
+    """The Leibniz sum term by term: one product and one inversion count per permutation."""
+    n = v.size
+    rows = v.rows
+    first = rows[0][0]
+    total = first - first  # additive zero of the entries
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1
+            for a in range(n)
+            for b in range(a + 1, n)
+            if perm[a] > perm[b]
+        )
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            term = term * rows[i][perm[i]]
+        total = total - term if inversions & 1 else total + term
+    return total

@@ -63,6 +63,12 @@ def test_scalar_and_power_arithmetic():
     assert H1 ** 0 == EtaPoly.one()
 
 
+def test_power_refuses_a_bool_exponent():
+    # bool is a subclass of int, and True would pass as the power 1
+    with pytest.raises(ValueError):
+        EtaPoly((1, 1)) ** True
+
+
 def test_canonical_form_strips_trailing_zeros():
     assert EtaPoly((1, 2, 0, 0)) == EtaPoly((1, 2))
     assert EtaPoly((0, 0)) == EtaPoly.zero()

@@ -1,17 +1,19 @@
 """Covariance construction, elimination traces, and determinant oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
+    ORACLE_MAX_N,
     SymMatrix,
     brute_force_det,
     diagonal_product,
     neville_eliminate,
 )
-from matrix_elimination import ZeroPivotError, build_covariance, eliminate_matrix
+from matrix_elimination import ZeroPivotError, build_covariance, eliminate_matrix, leibniz_det
 
 HALF = Fraction(1, 2)
 
@@ -168,9 +170,62 @@ def test_brute_force_respects_size_bound():
     assert brute_force_det(symbolic(4)) == diagonal_product(neville_eliminate(4))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, ORACLE_MAX_N + 1))
 def test_oracle_agreement_symbolic(n):
     assert diagonal_product(neville_eliminate(n)) == brute_force_det(symbolic(n))
+
+
+# -- the Leibniz walk against the term-by-term Leibniz sum ---------------------------
+
+
+def _active_block(stage, s):
+    return SymMatrix._of(tuple(row[s - 1:] for row in stage.rows[s - 1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_leibniz_walk_matches_the_plain_sum_on_every_stage(n):
+    # the stage entries have many terms and negative coefficients, and a whole
+    # stage also has zero entries below its frozen rows
+    trace = neville_eliminate(n)
+    for s in range(1, n + 1):
+        stage = trace.stage(s)
+        for matrix in (stage, _active_block(stage, s)):
+            det = brute_force_det(matrix)
+            assert type(det) is EtaPoly
+            assert det == leibniz_det(matrix)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_leibniz_walk_matches_the_plain_sum_on_rationals(seed):
+    rng = random.Random(seed)
+    values = [Fraction(0)] * 4 + [Fraction(p, q) for p in range(-3, 4) if p for q in (1, 2, 7)]
+    for n in range(1, 7):
+        matrix = SymMatrix([[rng.choice(values) for _ in range(n)] for _ in range(n)])
+        det = brute_force_det(matrix)
+        assert type(det) is Fraction
+        assert det == leibniz_det(matrix)
+
+
+def test_leibniz_walk_of_a_zero_row_is_the_zero_of_its_type():
+    zero = EtaPoly.zero()
+    symbolic_zero_row = SymMatrix([[mono(1), EtaPoly((1, -2))], [zero, zero]])
+    det = brute_force_det(symbolic_zero_row)
+    assert type(det) is EtaPoly and det == zero == leibniz_det(symbolic_zero_row)
+    rational_zero_row = SymMatrix([[0, 0, 0], [1, -2, HALF], [3, 4, 5]])
+    det = brute_force_det(rational_zero_row)
+    assert type(det) is Fraction and det == 0 == leibniz_det(rational_zero_row)
+
+
+def test_leibniz_walk_of_one_entry_is_that_entry():
+    for entry in (EtaPoly((1, 0, -3)), EtaPoly.zero(), Fraction(-3, 4), Fraction(0)):
+        det = brute_force_det(SymMatrix([[entry]]))
+        assert type(det) is type(entry) and det == entry == leibniz_det(SymMatrix([[entry]]))
+
+
+def test_leibniz_walk_refuses_mixed_entries():
+    mixed = SymMatrix([[mono(2), Fraction(1, 3)], [Fraction(1, 3), mono(0)]])
+    with pytest.raises(TypeError, match="EtaPoly and Fraction"):
+        brute_force_det(mixed)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -13,6 +13,7 @@ from gaussdet.closedform import (
     superfactorial,
     verify_closed_form,
 )
+from gaussdet.exact import poly_h
 from gaussdet.neville import SymMatrix, brute_force_det, neville_eliminate
 from gaussdet.tpprobe import (
     MinorIndex,
@@ -193,6 +194,7 @@ BOOL_N_GUARDS = {
     "leading_term": leading_term,
     "verify_closed_form": verify_closed_form,
     "neville_eliminate": neville_eliminate,
+    "poly_h": poly_h,
 }
 
 
