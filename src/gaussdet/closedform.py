@@ -63,10 +63,12 @@ def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
     multiset with s-1 coordinates, first-coordinate weight j-s+1, and
     first-coordinate range 0..i-s.
     """
-    if not 1 <= s <= n:
-        raise IndexError(f"stage {s} outside 1..{n}")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"entry ({i}, {j}) outside 1..{n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if type(s) is not int or not 1 <= s <= n:
+        raise IndexError(f"stage {s!r} outside 1..{n}")
+    if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n):
+        raise IndexError(f"entry ({i!r}, {j!r}) outside 1..{n}")
     return _u_value(s, i, j, _h_prefixes(j))
 
 
@@ -118,6 +120,9 @@ class FactoredDeterminant:
         return result
 
     def evaluate(self, eta_value: Fraction) -> Fraction:
+        """The product of the factors at a rational eta (an int or a Fraction)."""
+        if type(eta_value) is not int and not isinstance(eta_value, Fraction):
+            raise TypeError(f"eta must be a Fraction or int, got {type(eta_value).__name__}")
         value = Fraction(1)
         for q, mult in self.factors:
             value *= (1 - Fraction(eta_value) ** (2 * q)) ** mult

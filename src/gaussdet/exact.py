@@ -134,8 +134,8 @@ class EtaPoly:
     @classmethod
     def monomial(cls, exponent: int) -> "EtaPoly":
         """The single term eta^exponent."""
-        if exponent < 0:
-            raise ValueError("monomial exponent must be >= 0")
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError(f"monomial exponent must be an integer >= 0, got {exponent!r}")
         return cls((0,) * exponent + (1,))
 
     @property
@@ -150,8 +150,8 @@ class EtaPoly:
 
     def in_eta(self, shift: int = 0) -> "EtaPoly":
         """eta^shift * self(eta^2): this polynomial read in z = eta^2, mapped back to eta."""
-        if shift < 0:
-            raise ValueError("eta shift must be >= 0")
+        if type(shift) is not int or shift < 0:
+            raise ValueError(f"eta shift must be an integer >= 0, got {shift!r}")
         if not self._coeffs:
             return self
         coeffs = [0] * (shift + 2 * len(self._coeffs) - 1)
@@ -265,7 +265,9 @@ class EtaPoly:
         return result
 
     def __call__(self, point) -> Fraction:
-        """Evaluate at a rational point (Horner)."""
+        """Evaluate at a rational point, an int or a Fraction (Horner)."""
+        if type(point) is not int and not isinstance(point, Fraction):
+            raise TypeError(f"eta must be a Fraction or int, got {type(point).__name__}")
         x = Fraction(point)
         acc: Fraction | int = 0
         for c in reversed(self._coeffs):

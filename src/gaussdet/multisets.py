@@ -6,9 +6,9 @@ the nested eta-power sums of the elimination stages.  ``enumerate_simplex``
 counts them rather than listing them: the nested coordinates are partitions
 in a box, whose numbers by sum follow the q-Pascal recurrence of the Gaussian
 binomials.  The multiset identities MI1 through MI6 relate such multisets
-across parameters, and MI6 (the inter-dimensional duality) is the lifting
-step that drives the closed-form induction, mechanized here by
-``lift_duality``.
+across parameters; MI1a-c are MI1 at substituted parameters, and MI6 (the
+inter-dimensional duality), regrouped by ``lift_duality``, is the lifting
+step that drives the closed-form induction.
 
 Multiplicities may be negative, which is what makes the formal cancellation
 in the lifting step expressible: ``negate`` flips multiplicities, and a
@@ -43,6 +43,11 @@ def _require_ints(values: Iterable) -> None:
     if not set(map(type, values)) <= {int}:
         bad = next(v for v in values if type(v) is not int)
         raise TypeError(f"int element or multiplicity expected, got {type(bad).__name__}")
+
+
+def _require_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class SignedMultiset:
@@ -134,7 +139,8 @@ class SimplexSpec:
     constant; ``beta`` the weight of the first coordinate ``k``, which runs
     from gamma-1 to delta-1.  The second coordinate normally runs 0..k;
     epsilon=1 pins it to exactly k.  Each deeper coordinate runs from 0 to
-    its predecessor.
+    its predecessor.  Every field is an ``int``; any other type (``bool``
+    and ``float`` among them) is a ``TypeError``.
     """
 
     n: int
@@ -145,6 +151,8 @@ class SimplexSpec:
     epsilon: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "alpha", "beta", "gamma", "delta", "epsilon"):
+            _require_int(name, getattr(self, name))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.alpha < 0:
@@ -219,28 +227,6 @@ def _mi1(n, alpha, beta, delta):
     return lhs, rhs
 
 
-def _mi1a(n, beta, delta):
-    lhs = [(n, 0, beta, 1, delta)]
-    rhs = [(n, 0, beta, 1, delta - 1), (n, 0, beta, delta, delta)]
-    return lhs, rhs
-
-
-def _mi1b(n, beta, delta):
-    lhs = [(n + 1, beta - 1, beta - 1, 1, delta - 1)]
-    rhs = [
-        (n + 1, beta - 1, beta - 1, 1, delta - 2),
-        (n + 1, beta - 1, beta - 1, delta - 1, delta - 1),
-    ]
-    return lhs, rhs
-
-
-def _mi1c(n, beta, delta):
-    a = (beta - 1) * (delta - 1)
-    lhs = [(n, a, 1, 1, delta)]
-    rhs = [(n, a, 1, 1, delta - 1), (n, a, 1, delta, delta)]
-    return lhs, rhs
-
-
 def _mi2(n, beta, delta):
     lhs = [(n + 1, 0, beta - 1, 1, delta - 1)]
     rhs = [
@@ -274,23 +260,25 @@ def _mi6(n, beta, delta):
     return lhs, rhs
 
 
-_COND_N = ("n >= 1", lambda p: p["n"] >= 1)
-_COND_ALPHA = ("alpha >= 0", lambda p: p["alpha"] >= 0)
-_COND_BETA0 = ("beta >= 0", lambda p: p["beta"] >= 0)
-_COND_BETA1 = ("beta >= 1", lambda p: p["beta"] >= 1)
-_COND_DELTA1 = ("delta >= 1", lambda p: p["delta"] >= 1)
-_COND_DELTA2 = ("delta >= 2", lambda p: p["delta"] >= 2)
-
+# each identity's parameters with the least value of each, in the order the
+# side conditions are checked, and the builder of its (lhs, rhs) term specs;
+# MI1a-c are MI1 at substituted parameters
 _IDENTITIES = {
-    "MI1": (("n", "alpha", "beta", "delta"), (_COND_N, _COND_ALPHA, _COND_BETA0, _COND_DELTA2), _mi1),
-    "MI1a": (("n", "beta", "delta"), (_COND_N, _COND_BETA0, _COND_DELTA2), _mi1a),
-    "MI1b": (("n", "beta", "delta"), (_COND_N, _COND_BETA1, _COND_DELTA2), _mi1b),
-    "MI1c": (("n", "beta", "delta"), (_COND_N, _COND_BETA1, _COND_DELTA2), _mi1c),
-    "MI2": (("n", "beta", "delta"), (_COND_N, _COND_BETA1, _COND_DELTA2), _mi2),
-    "MI3": (("n", "beta", "delta"), (_COND_N, _COND_BETA1, _COND_DELTA2), _mi3),
-    "MI4": (("n", "beta", "delta"), (_COND_N, _COND_BETA1, _COND_DELTA1), _mi4),
-    "MI5": (("n", "beta", "delta"), (_COND_N, _COND_BETA1, _COND_DELTA2), _mi5),
-    "MI6": (("n", "beta", "delta"), (_COND_N, _COND_BETA1, _COND_DELTA2), _mi6),
+    "MI1": ({"n": 1, "alpha": 0, "beta": 0, "delta": 2}, _mi1),
+    "MI1a": ({"n": 1, "beta": 0, "delta": 2}, lambda n, beta, delta: _mi1(n, 0, beta, delta)),
+    "MI1b": (
+        {"n": 1, "beta": 1, "delta": 2},
+        lambda n, beta, delta: _mi1(n + 1, beta - 1, beta - 1, delta - 1),
+    ),
+    "MI1c": (
+        {"n": 1, "beta": 1, "delta": 2},
+        lambda n, beta, delta: _mi1(n, (beta - 1) * (delta - 1), 1, delta),
+    ),
+    "MI2": ({"n": 1, "beta": 1, "delta": 2}, _mi2),
+    "MI3": ({"n": 1, "beta": 1, "delta": 2}, _mi3),
+    "MI4": ({"n": 1, "beta": 1, "delta": 1}, _mi4),
+    "MI5": ({"n": 1, "beta": 1, "delta": 2}, _mi5),
+    "MI6": ({"n": 1, "beta": 1, "delta": 2}, _mi6),
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
@@ -304,28 +292,32 @@ MAX_TABLE_COST = 10_000_000
 def identity_param_names(identity: str) -> tuple[str, ...]:
     if identity not in _IDENTITIES:
         raise SideConditionError(f"unknown identity {identity!r}; know {', '.join(IDENTITY_NAMES)}")
-    return _IDENTITIES[identity][0]
+    return tuple(_IDENTITIES[identity][0])
 
 
 def verify_identity(identity: str, params: Sequence[int]) -> IdentityReport:
     """Instantiate both sides of a named identity and compare them exactly.
 
-    Each side is built from per-spec counts, never from another identity, so
-    a bug in one identity cannot mask a bug in another.  Unequal sides yield
-    a report carrying the symmetric difference as the counterexample.  An
-    instance whose terms would cost more than MAX_TABLE_COST table additions
-    is refused with ValueError before any term is counted.
+    Each side is built from per-spec counts, never from another identity's
+    report, so a bug in one identity cannot mask a bug in another.  Unequal
+    sides yield a report carrying the symmetric difference as the
+    counterexample.  A parameter that is not an ``int`` (``bool`` and
+    ``float`` among them) is a ``TypeError``, and one below its least value a
+    SideConditionError, both checked in parameter order.  An instance whose
+    terms would cost more than MAX_TABLE_COST table additions is refused
+    with ValueError before any term is counted.
     """
     names = identity_param_names(identity)
     if len(params) != len(names):
         raise SideConditionError(
             f"{identity} takes {len(names)} parameters ({', '.join(names)}), got {len(params)}"
         )
+    least, build = _IDENTITIES[identity]
     env = dict(zip(names, params))
-    _, conditions, build = _IDENTITIES[identity]
-    for label, pred in conditions:
-        if not pred(env):
-            raise SideConditionError(f"{identity} requires {label}; got {env}")
+    for name, value in env.items():
+        _require_int(name, value)
+        if value < least[name]:
+            raise SideConditionError(f"{identity} requires {name} >= {least[name]}; got {env}")
     lhs_terms, rhs_terms = build(**env)
     cost = sum((term[0] * term[4]) ** 2 for term in lhs_terms + rhs_terms)
     if cost > MAX_TABLE_COST:
@@ -350,20 +342,22 @@ def lift_duality(w: int, i: int, j: int) -> tuple[SignedMultiset, SignedMultiset
     """The lifting transformation between (w-1)- and w-coordinate multisets.
 
     Both sides pair an ordinary multiset with a negated one; their equality
-    is the regrouped form of MI6 that carries one elimination stage to the
-    next.  The equality is asserted before returning; a failure would be a
-    genuine counterexample and raises LiftDualityError with the difference.
+    is MI6 at (n, beta, delta) = (w - 1, j - w + 1, i - w + 1) regrouped,
+    each side keeping one of its own terms and taking the other side's second
+    term negated, and it carries one elimination stage to the next.  w, i
+    and j must be ``int`` (``TypeError`` otherwise).  The equality is
+    asserted before returning; a failure would be a genuine counterexample
+    and raises LiftDualityError with the difference.
     """
+    for name, value in (("w", w), ("i", i), ("j", j)):
+        _require_int(name, value)
     if w < 2:
         raise ValueError(f"w must be >= 2, got {w}")
     if i < w + 1 or j < w + 1:
         raise ValueError(f"i and j must be >= w + 1 = {w + 1}, got i={i}, j={j}")
-    lhs = _term(w - 1, 0, j - w + 1, 1, i - w + 1).union(
-        _term(w - 1, (i - w) * (j - w), 1, 1, i - w + 1).negate()
-    )
-    rhs = _term(w, 0, j - w, 1, i - w).union(
-        _term(w, j - w, j - w, 1, i - w).negate()
-    )
+    (lhs0, lhs1), (rhs0, rhs1) = _mi6(w - 1, j - w + 1, i - w + 1)
+    lhs = _term(*lhs0).union(_term(*rhs1).negate())
+    rhs = _term(*rhs0).union(_term(*lhs1).negate())
     if lhs != rhs:
         raise LiftDualityError(w, i, j, lhs.difference(rhs))
     return lhs, rhs

@@ -100,8 +100,8 @@ class EliminationTrace:
         return len(self.stages)
 
     def stage(self, s: int) -> SymMatrix:
-        if not 1 <= s <= self.n:
-            raise IndexError(f"stage {s} outside 1..{self.n}")
+        if type(s) is not int or not 1 <= s <= self.n:
+            raise IndexError(f"stage {s!r} outside 1..{self.n}")
         return self.stages[s - 1]
 
     def diagonal(self, s: int) -> Entry:
@@ -115,8 +115,8 @@ class EliminationTrace:
         (s, s) of stage s, so the leading block of the n-point stages is the
         elimination of the leading k-point covariance.
         """
-        if not 1 <= k <= self.n:
-            raise IndexError(f"leading size {k} outside 1..{self.n}")
+        if type(k) is not int or not 1 <= k <= self.n:
+            raise IndexError(f"leading size {k!r} outside 1..{self.n}")
         if k == self.n:
             return self
         return EliminationTrace(tuple(

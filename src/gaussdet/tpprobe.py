@@ -48,6 +48,8 @@ class MinorIndex:
         if not rows or len(rows) != len(cols):
             raise ValueError("rows and cols must be nonempty and of equal length")
         for name, idx in (("rows", rows), ("cols", cols)):
+            if any(type(x) is not int for x in idx):
+                raise ValueError(f"{name} must be integers, got {idx}")
             if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"{name} must be strictly increasing, got {idx}")
             if idx[0] < 1:

@@ -115,6 +115,23 @@ def test_closed_form_index_validation():
         closed_form_u(1, 1, 5, 4)
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((True, 1, 1, 2), IndexError),
+        ((1.0, 1, 1, 2), IndexError),
+        ((2, 2, 2.0, 3), IndexError),
+        ((2, True, 2, 3), IndexError),
+        ((1, 1, 1, 2.0), ValueError),
+        ((1, 1, 1, True), ValueError),
+    ],
+)
+def test_closed_form_refuses_non_int_indices(args, error):
+    # closed_form_u(True, 1, 1, 2) used to return 1, and a float j failed inside range()
+    with pytest.raises(error, match=repr([a for a in args if type(a) is not int][0])):
+        closed_form_u(*args)
+
+
 def test_closed_form_stage_two_row_matches_geometric_display():
     # the dedicated stage-2 form: eta^((i-j)^2) h_{j-1} sum_k eta^(2[k(j-2)+k])
     for n in (4, 5):
@@ -211,6 +228,17 @@ def test_adding_a_point_multiplies_in_all_new_pairs(n):
 @pytest.mark.parametrize("eta", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
 def test_factored_determinant_positive_on_unit_interval(n, eta):
     assert factored_determinant(n).evaluate(eta) > 0
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.1, True])
+def test_factored_evaluate_refuses_a_float_or_bool(eta):
+    with pytest.raises(TypeError, match="Fraction or int"):
+        factored_determinant(3).evaluate(eta)
+
+
+def test_factored_evaluate_takes_an_int():
+    assert factored_determinant(3).evaluate(0) == 1
+    assert factored_determinant(2).evaluate(2) == -3
 
 
 def test_factored_evaluate_matches_expansion():

@@ -69,6 +69,31 @@ def test_power_refuses_a_bool_exponent():
         EtaPoly((1, 1)) ** True
 
 
+@pytest.mark.parametrize("exponent", [True, 2.0, Fraction(2)])
+def test_monomial_refuses_a_non_int_exponent(exponent):
+    # True would pass as the exponent 1 and return eta
+    with pytest.raises(ValueError, match="monomial exponent"):
+        EtaPoly.monomial(exponent)
+
+
+@pytest.mark.parametrize("shift", [True, 1.0, Fraction(1)])
+def test_in_eta_refuses_a_non_int_shift(shift):
+    with pytest.raises(ValueError, match="eta shift"):
+        EtaPoly((1, 1)).in_eta(shift)
+
+
+@pytest.mark.parametrize("point", [0.1, 0.5, 1.0, True])
+def test_evaluation_refuses_a_float_or_bool_point(point):
+    # Fraction(0.1) is the binary value of the float, not 1/10
+    with pytest.raises(TypeError, match="Fraction or int"):
+        EtaPoly((1, 1))(point)
+
+
+def test_evaluation_takes_ints_and_fractions():
+    assert EtaPoly((1, 1))(Fraction(1, 10)) == Fraction(11, 10)
+    assert EtaPoly((1, 0, 2))(3) == 19
+
+
 def test_canonical_form_strips_trailing_zeros():
     assert EtaPoly((1, 2, 0, 0)) == EtaPoly((1, 2))
     assert EtaPoly((0, 0)) == EtaPoly.zero()

@@ -1,5 +1,6 @@
 """Simplicial multiset counts, signed-multiset algebra, and the identities."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -79,6 +80,28 @@ def test_counts_equal_the_literal_enumeration_on_the_shipped_grids(monkeypatch):
     assert any(spec.delta == spec.gamma - 1 for spec in specs.values())
     for term, spec in specs.items():
         assert real_term(*term) == literal_simplex(spec), term
+
+
+def test_term_specs_are_pinned(monkeypatch):
+    # sha256 prefix of every _term spec, in call order, of the multiset --sweep
+    # grid, the verify-all lift grid, MI6 at (8, 6, 12) and MI1 at (30, 0, 1, 40)
+    calls = []
+    real_term = multisets._term
+
+    def recording(n, alpha, beta, gamma, delta, epsilon=0):
+        calls.append((n, alpha, beta, gamma, delta, epsilon))
+        return real_term(n, alpha, beta, gamma, delta, epsilon)
+
+    monkeypatch.setattr(multisets, "_term", recording)
+    for identity in IDENTITY_NAMES:
+        cli._identity_sweep(identity)
+    for w, i, j in cli.LIFT_GRID:
+        lift_duality(w, i, j)
+    verify_identity("MI6", (8, 6, 12))
+    verify_identity("MI1", (30, 0, 1, 40))
+    assert all(type(x) is int for call in calls for x in call)
+    assert len(calls) == 4487
+    assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == "06aeefeb73f2411d"
 
 
 @pytest.mark.parametrize(
@@ -161,6 +184,22 @@ def test_cardinality_matches_simplex_lattice_count(n, delta):
 )
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
+        SimplexSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(n=True, alpha=0, beta=1, gamma=1, delta=2), "n"),
+        (dict(n=1, alpha=0.0, beta=1, gamma=1, delta=2), "alpha"),
+        (dict(n=1, alpha=0, beta=Fraction(1), gamma=1, delta=2), "beta"),
+        (dict(n=1, alpha=0, beta=1, gamma=1, delta=2.0), "delta"),
+        (dict(n=2, alpha=0, beta=1, gamma=1, delta=2, epsilon=True), "epsilon"),
+    ],
+)
+def test_spec_fields_must_be_ints(kwargs, name):
+    # bool is a subclass of int, and True would pass every lower bound
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
         SimplexSpec(**kwargs)
 
 
@@ -324,6 +363,59 @@ def test_wrong_parameter_count_is_rejected():
         verify_identity("MI5", (2, 0, 4, 4))
 
 
+@pytest.fixture
+def forbid_counting(monkeypatch):
+    """Make counting any term an error, so a refusal is seen to come first."""
+
+    def no_work(*spec):
+        raise AssertionError(f"counted {spec}")
+
+    monkeypatch.setattr(multisets, "_term", no_work)
+
+
+@pytest.mark.parametrize(
+    "identity, params, name",
+    [
+        ("MI1", (True, 0, 1, 2), "n"),
+        ("MI1", (1, 0, 1, 2.5), "delta"),
+        ("MI1", (1, False, 1, 2), "alpha"),
+        ("MI1a", (1, 0, 2.0), "delta"),
+        ("MI6", (2, 4.0, 4), "beta"),
+        ("MI4", (Fraction(2), 3, 4), "n"),
+    ],
+)
+def test_identity_params_must_be_ints(forbid_counting, identity, params, name):
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        verify_identity(identity, params)
+
+
+def _mi1_at(identity, n, beta, delta):
+    """The MI1 parameters (n, alpha, beta, delta) that MI1a, MI1b or MI1c substitutes."""
+    return {
+        "MI1a": (n, 0, beta, delta),
+        "MI1b": (n + 1, beta - 1, beta - 1, delta - 1),
+        "MI1c": (n, (beta - 1) * (delta - 1), 1, delta),
+    }[identity]
+
+
+@pytest.mark.parametrize("identity", ["MI1a", "MI1b", "MI1c"])
+def test_mi1_variants_are_mi1_at_substituted_parameters(identity):
+    # the multiset --sweep grid of the three-parameter identities
+    for n in range(1, 5):
+        for beta in range(1, 7):
+            for delta in range(2, 7):
+                report = verify_identity(identity, (n, beta, delta))
+                mi1_params = _mi1_at(identity, n, beta, delta)
+                if mi1_params[3] < 2:
+                    # MI1b at delta = 2 is MI1 at delta = 1, below MI1's side
+                    # condition: both sides are the one face k = 0
+                    face = enumerate_simplex(SimplexSpec(*mi1_params[:3], 1, 1))
+                    assert report.lhs == report.rhs == face
+                    continue
+                mi1 = verify_identity("MI1", mi1_params)
+                assert (report.lhs, report.rhs) == (mi1.lhs, mi1.rhs), (n, beta, delta)
+
+
 def test_boundary_delta_two_instances():
     # MI1b and MI2 at delta = 2 exercise the empty first-coordinate range
     assert verify_identity("MI1b", (2, 3, 2)).equal
@@ -368,6 +460,24 @@ def test_lift_duality_rejects_out_of_range_indices():
         lift_duality(2, 2, 3)
     with pytest.raises(ValueError):
         lift_duality(2, 3, 2)
+
+
+@pytest.mark.parametrize("w, i, j", [(2, 3.0, 3), (True, 3, 3), (2, 3, True), (2.0, 4, 4)])
+def test_lift_duality_refuses_non_int_indices(forbid_counting, w, i, j):
+    with pytest.raises(TypeError, match="must be an int"):
+        lift_duality(w, i, j)
+
+
+def test_lift_duality_is_mi6_regrouped():
+    # the lift's (w, i, j) is MI6 at (n, beta, delta) = (w - 1, j - w + 1, i - w + 1):
+    # each lift side differs from an MI6 side by the same pair of terms
+    for w, i, j in cli.LIFT_GRID:
+        lhs, rhs = lift_duality(w, i, j)
+        mi6 = verify_identity("MI6", (w - 1, j - w + 1, i - w + 1))
+        lhs1 = enumerate_simplex(SimplexSpec(w, j - w, j - w, 1, i - w))
+        rhs1 = enumerate_simplex(SimplexSpec(w - 1, (j - w) * (i - w), 1, 1, i - w + 1))
+        assert lhs.union(lhs1).union(rhs1) == mi6.lhs, (w, i, j)
+        assert rhs.union(rhs1).union(lhs1) == mi6.rhs, (w, i, j)
 
 
 def test_lift_duality_small_grid():

@@ -1,6 +1,7 @@
 """Covariance construction, elimination traces, and determinant oracles."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,14 @@ def test_trace_shape(n):
             for i in range(1, s):
                 for j in range(1, n + 1):
                     assert stage.entry(i, j) == prev.entry(i, j)
+
+
+@pytest.mark.parametrize("method", ["stage", "diagonal", "leading"])
+@pytest.mark.parametrize("index", [True, 1.0, Fraction(1)])
+def test_trace_indices_must_be_ints(method, index):
+    # True would pass 1 <= s <= n and read stage 1
+    with pytest.raises(IndexError, match=re.escape(repr(index))):
+        getattr(neville_eliminate(3), method)(index)
 
 
 def test_zero_pivot_is_reported_with_its_stage():

@@ -45,6 +45,11 @@ def test_minor_index_accepts_valid_sets():
         ((2, 1), (1, 2)),
         ((1, 1), (1, 2)),
         ((0, 1), (1, 2)),
+        # True would pass as the index 1
+        ((True,), (1,)),
+        ((1.0,), (1,)),
+        ((1, 2), (1, 2.0)),
+        ((1,), (True,)),
     ],
 )
 def test_minor_index_rejects_bad_sets(rows, cols):
