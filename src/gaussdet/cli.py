@@ -12,6 +12,7 @@ range, its largest ``--n`` and the entry keys its ``verify-all`` checks report.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -48,7 +49,7 @@ EXIT_USAGE = 2
 # Each n-indexed check: the first and last n of its --sweep (GAUSSDET_MAX_N lowers
 # the last), its largest --n (None where the check refuses a large n itself), and
 # the keys of its entry that verify-all reports.  The symbolic limits keep each
-# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 6 s, and
+# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 5 s, and
 # leading-term's series product grows as n^6; GAUSSDET_MAX_N may only lower them.
 CHECKS = {
     "verify-u": (1, 10, 30, ("entries_checked", "first_mismatch")),
@@ -136,7 +137,10 @@ def _csv_ints(text: str) -> list[int]:
         ) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused by every later
+    # call in the process: parsing leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="gaussdet",
         description=(

@@ -18,7 +18,9 @@ union with a negated multiset is an exact subtraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class SideConditionError(ValueError):
@@ -151,8 +153,11 @@ class SimplexSpec:
     epsilon: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "alpha", "beta", "gamma", "delta", "epsilon"):
-            _require_int(name, getattr(self, name))
+        fields = (self.n, self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
+        # one type pass; the field-by-field guard only names the first bad field
+        if set(map(type, fields)) != {int}:
+            for name, value in zip(("n", "alpha", "beta", "gamma", "delta", "epsilon"), fields):
+                _require_int(name, value)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.alpha < 0:
@@ -169,36 +174,78 @@ class SimplexSpec:
             raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
 
 
-def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
-    """The multiset of alpha + beta*k + k' + ... values over a spec's lattice points.
+# P_d(k) for k = 0, 1, ..., by sum, for each depth d a spec has asked for: the
+# number of chains k >= v_1 >= ... >= v_d >= 0 with each sum, which is the
+# Gaussian binomial [d + k choose d] read by powers of x.  One row list per
+# depth; no row is ever changed, and no multiset shares one.
+_ROWS: dict[int, list[list[int]]] = {}
 
-    Multiplicities are counted, not listed: the chains k >= k' >= ... >= 0
-    are partitions in a box, and the number with each sum obeys the q-Pascal
-    recurrence of the Gaussian binomials, so the cost is the count table
-    (about (n*delta)^2 additions), not the cardinality C(k+n-1, n-1) per k.
-    All multiplicities are positive.
-    """
-    # epsilon pins k' to k, which leaves a chain one coordinate shorter;
-    # with one coordinate there is no k' to pin
-    pinned = spec.epsilon if spec.n > 1 else 0
-    depth = spec.n - 1 - pinned
-    # chains[d] is P_d(b), by sum, for the chains b >= v_1 >= ... >= v_d >= 0;
-    # before the first step b = -1, where only the empty chain (d = 0) exists
+# the most counts the table holds, about 4 MB at the largest counts a request
+# below MAX_TABLE_COST leads to; a depth whose rows would not fit alone streams
+# them as they are built and keeps none, and one that fits in an empty table
+# but not beside the rows held empties it first
+_ROWS_MAX_COUNTS = 100_000
+
+
+def _row_counts(depth: int, size: int) -> int:
+    # P_depth(k) has depth*k + 1 counts
+    return depth * size * (size - 1) // 2 + size
+
+
+def _q_pascal(depth: int, size: int) -> Iterator[list[int]]:
+    """P_depth(k) for k = 0..size-1, each row a new list."""
+    # chains[d] is P_d(b); before the first step b = -1, where only the empty
+    # chain (d = 0) exists
     chains: list[list[int]] = [[1]] + [[] for _ in range(depth)]
-    counts: dict[int, int] = {}
-    for k in range(spec.delta):
+    for k in range(size):
         for d in range(1, depth + 1):
             # P_d(k) = P_d(k - 1) + x^k * P_{d-1}(k): either v_1 < k or v_1 = k;
             # P_d(k - 1) is at least k long once k >= 1, and empty at k = 0
             lower, upper = chains[d], chains[d - 1]
             overlap = lower[k:]
             chains[d] = lower[:k] + [x + y for x, y in zip(overlap, upper)] + upper[len(overlap):]
-        if k < spec.gamma - 1:
-            continue
-        # P_depth(k): how many choices of the coordinates after k have each sum
-        for e, m in enumerate(chains[depth], spec.alpha + spec.beta * k + pinned * k):
-            counts[e] = counts.get(e, 0) + m
-    return SignedMultiset._of({e: m for e, m in counts.items() if m})
+        yield chains[depth]
+
+
+def _chain_rows(depth: int, size: int) -> Iterable[list[int]]:
+    """P_depth(k) for k = 0..size-1 at least: from the table, rebuilt when short, or streamed."""
+    rows = _ROWS.get(depth)
+    if rows is not None and len(rows) >= size:
+        return rows
+    counts = _row_counts(depth, size)
+    if counts > _ROWS_MAX_COUNTS:
+        return _q_pascal(depth, size)
+    held = sum(_row_counts(d, len(r)) for d, r in _ROWS.items() if d != depth)
+    if held + counts > _ROWS_MAX_COUNTS:
+        _ROWS.clear()
+    rows = _ROWS[depth] = list(_q_pascal(depth, size))
+    return rows
+
+
+def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
+    """The multiset of alpha + beta*k + k' + ... values over a spec's lattice points.
+
+    Multiplicities are counted, not listed: the chains k >= k' >= ... >= 0
+    are partitions in a box, and the number with each sum obeys the q-Pascal
+    recurrence of the Gaussian binomials.  Those rows are shared per depth
+    across calls, built once up to the largest delta asked for (rows too
+    large for the table are streamed instead), so each call pays only its
+    accumulation: one shifted row per k, about n*delta^2/2 additions, not
+    the cardinality C(k+n-1, n-1) per k.  All multiplicities are positive.
+    """
+    # epsilon pins k' to k, which leaves a chain one coordinate shorter;
+    # with one coordinate there is no k' to pin
+    pinned = spec.epsilon if spec.n > 1 else 0
+    depth = spec.n - 1 - pinned
+    # term k is x^(alpha + step*k) * P_depth(k), laid out from the first k's shift
+    step = spec.beta + pinned
+    first = spec.gamma - 1
+    counts = [0] * (step * (spec.delta - 1 - first) + depth * (spec.delta - 1) + 1)
+    for i, row in enumerate(islice(_chain_rows(depth, spec.delta), first, spec.delta)):
+        at, end = step * i, step * i + len(row)
+        counts[at:end] = map(add, counts[at:end], row)
+    base = spec.alpha + step * first
+    return SignedMultiset._of({e: m for e, m in enumerate(counts, base) if m})
 
 
 @dataclass(frozen=True)
@@ -325,17 +372,20 @@ def verify_identity(identity: str, params: Sequence[int]) -> IdentityReport:
             f"{identity} at {tuple(params)} would take about {cost:,} count-table additions "
             f"(the sum of (n * delta)^2 over its terms); the limit is {MAX_TABLE_COST:,}"
         )
-    lhs = _union_all(lhs_terms)
-    rhs = _union_all(rhs_terms)
+    lhs = _side(lhs_terms)
+    rhs = _side(rhs_terms)
     diff = lhs.difference(rhs)
     return IdentityReport(identity, tuple(params), lhs, rhs, not diff, diff)
 
 
-def _union_all(term_specs) -> SignedMultiset:
-    out = SignedMultiset()
-    for spec in term_specs:
-        out = out.union(_term(*spec))
-    return out
+def _side(plus, minus=()) -> SignedMultiset:
+    """The counts of the plus terms less those of the minus terms, summed in one dict."""
+    counts: dict[int, int] = {}
+    for sign, term_specs in ((1, plus), (-1, minus)):
+        for spec in term_specs:
+            for e, m in _term(*spec)._mult.items():
+                counts[e] = counts.get(e, 0) + sign * m
+    return SignedMultiset._of({e: m for e, m in counts.items() if m})
 
 
 def lift_duality(w: int, i: int, j: int) -> tuple[SignedMultiset, SignedMultiset]:
@@ -356,8 +406,8 @@ def lift_duality(w: int, i: int, j: int) -> tuple[SignedMultiset, SignedMultiset
     if i < w + 1 or j < w + 1:
         raise ValueError(f"i and j must be >= w + 1 = {w + 1}, got i={i}, j={j}")
     (lhs0, lhs1), (rhs0, rhs1) = _mi6(w - 1, j - w + 1, i - w + 1)
-    lhs = _term(*lhs0).union(_term(*rhs1).negate())
-    rhs = _term(*rhs0).union(_term(*lhs1).negate())
+    lhs = _side([lhs0], [rhs1])
+    rhs = _side([rhs0], [lhs1])
     if lhs != rhs:
         raise LiftDualityError(w, i, j, lhs.difference(rhs))
     return lhs, rhs

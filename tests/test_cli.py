@@ -581,6 +581,65 @@ def test_repeated_invocations_are_byte_identical_modulo_timing(run):
     assert reports[0] == reports[1]
 
 
+# one call of every subcommand, in both formats, then a usage error and a valid call
+REUSE_CALLS = [
+    (*argv, "--format", fmt)
+    for argv in [
+        ("verify-u", "--n", "5"),
+        ("verify-det", "--n", "4"),
+        ("leading-term", "--n", "4"),
+        ("multiset", "--identity", "MI6", "--params", "3,4,5"),
+        ("multiset", "--sweep"),
+        ("tp-check", "--n", "3", "--eta", "1/2"),
+        ("verify-all",),
+    ]
+    for fmt in ("json", "text")
+] + [("verify-u", "--n", "many"), ("verify-u", "--n", "3", "--format", "json")]
+
+
+def _without_timing(out):
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+
+
+def test_one_parser_serves_every_call_of_a_process(run):
+    firsts = []
+    for argv in REUSE_CALLS:
+        cli._build_parser.cache_clear()
+        code, out, err = run(*argv)
+        firsts.append((code, _without_timing(out), err))
+    assert [code for code, _, _ in firsts] == [0] * (len(REUSE_CALLS) - 2) + [2, 0]
+    assert "invalid int value" in firsts[-2][2]
+    parser = cli._build_parser()
+    for argv, first in zip(REUSE_CALLS, firsts):
+        code, out, err = run(*argv)
+        assert (code, _without_timing(out), err) == first, argv
+    assert cli._build_parser() is parser
+
+
+def test_reused_parser_reads_the_cap_and_patches_at_each_call(run, monkeypatch):
+    run("verify-u", "--n", "2")
+    monkeypatch.setenv("GAUSSDET_MAX_N", "3")
+    _, report = run_json(run, "verify-u", "--sweep")
+    assert [entry["n"] for entry in report["details"]["results"]] == [1, 2, 3]
+    monkeypatch.setenv("GAUSSDET_MAX_N", "5")
+    _, report = run_json(run, "verify-u", "--sweep")
+    assert [entry["n"] for entry in report["details"]["results"]] == [1, 2, 3, 4, 5]
+    monkeypatch.delenv("GAUSSDET_MAX_N")
+    forbid_checks(monkeypatch)
+    for argv in [("verify-u", "--n", "3"), ("multiset", "--sweep"), ("verify-all",)]:
+        with pytest.raises(AssertionError, match="a check ran"):
+            run(*argv)
+
+
+def test_importing_the_cli_builds_no_parser():
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import gaussdet.cli as c; print(c._build_parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                            timeout=60, check=True)
+    assert result.stdout == b"0\n"
+
+
 def test_max_n_env_cap(run, monkeypatch):
     monkeypatch.setenv("GAUSSDET_MAX_N", "4")
     code, _, err = run("verify-u", "--n", "5")

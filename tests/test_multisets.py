@@ -82,6 +82,79 @@ def test_counts_equal_the_literal_enumeration_on_the_shipped_grids(monkeypatch):
         assert real_term(*term) == literal_simplex(spec), term
 
 
+def _shipped_grid_specs(monkeypatch):
+    """Every nonempty spec that the multiset --sweep and verify-all lift grids count, in call order."""
+    terms = []
+    real_term = multisets._term
+
+    def recording(n, alpha, beta, gamma, delta, epsilon=0):
+        terms.append((n, alpha, beta, gamma, delta, epsilon))
+        return real_term(n, alpha, beta, gamma, delta, epsilon)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multisets, "_term", recording)
+        for identity in IDENTITY_NAMES:
+            cli._identity_sweep(identity)
+        for w, i, j in cli.LIFT_GRID:
+            lift_duality(w, i, j)
+    return [SimplexSpec(*term) for term in terms if term[4] >= term[3]]
+
+
+def _depth(spec):
+    return spec.n - 1 - (spec.epsilon if spec.n > 1 else 0)
+
+
+def test_warm_and_cold_rows_agree_with_the_literal_enumeration(monkeypatch):
+    specs = _shipped_grid_specs(monkeypatch)
+    expected = [literal_simplex(spec) for spec in specs]
+    depths = {_depth(spec) for spec in specs}
+
+    monkeypatch.setattr(multisets, "_ROWS", {})
+    assert [enumerate_simplex(spec) for spec in specs] == expected
+
+    # a larger request grows every depth the grid uses, and one far past it
+    monkeypatch.setattr(multisets, "_ROWS", {})
+    for depth in sorted(depths) + [20]:
+        enumerate_simplex(SimplexSpec(depth + 1, 0, 1, 1, 40))
+    assert all(len(multisets._ROWS[depth]) >= 40 for depth in depths | {20})
+    assert [enumerate_simplex(spec) for spec in specs] == expected
+
+    monkeypatch.setattr(multisets, "_ROWS", {})
+    assert [enumerate_simplex(spec) for spec in reversed(specs)] == expected[::-1]
+
+
+def test_rows_too_large_for_the_table_are_streamed_or_replace_it(monkeypatch):
+    specs = _shipped_grid_specs(monkeypatch)
+    expected = [literal_simplex(spec) for spec in specs]
+    # room for the rows of one small depth at a time: larger ones stream, and
+    # a depth that fits alone empties the table first
+    monkeypatch.setattr(multisets, "_ROWS_MAX_COUNTS", 40)
+    monkeypatch.setattr(multisets, "_ROWS", {})
+    assert [enumerate_simplex(spec) for spec in specs] == expected
+    held = sum(multisets._row_counts(d, len(rows)) for d, rows in multisets._ROWS.items())
+    assert 0 < held <= 40
+    big = SimplexSpec(9, 3, 2, 1, 12)
+    table = dict(multisets._ROWS)
+    assert enumerate_simplex(big) == literal_simplex(big)
+    assert multisets._ROWS == table
+
+
+def test_returned_multisets_never_alias_a_cached_row(monkeypatch):
+    specs = _shipped_grid_specs(monkeypatch)
+    monkeypatch.setattr(multisets, "_ROWS", {})
+    results = [enumerate_simplex(spec) for spec in specs]
+    rows = {depth: [list(row) for row in table] for depth, table in multisets._ROWS.items()}
+    row_ids = {id(row) for table in multisets._ROWS.values() for row in table}
+    for result in results:
+        assert id(result._mult) not in row_ids
+        # change every returned count in place: the table must not see it
+        for element in result._mult:
+            result._mult[element] += 1000
+    assert {depth: [list(row) for row in table] for depth, table in multisets._ROWS.items()} == rows
+    for spec in specs[::7]:
+        assert enumerate_simplex(spec) == literal_simplex(spec)
+
+
 def test_term_specs_are_pinned(monkeypatch):
     # sha256 prefix of every _term spec, in call order, of the multiset --sweep
     # grid, the verify-all lift grid, MI6 at (8, 6, 12) and MI1 at (30, 0, 1, 40)
