@@ -49,7 +49,7 @@ EXIT_USAGE = 2
 # Each n-indexed check: the first and last n of its --sweep (GAUSSDET_MAX_N lowers
 # the last), its largest --n (None where the check refuses a large n itself), and
 # the keys of its entry that verify-all reports.  The symbolic limits keep each
-# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 5 s, and
+# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 6 s, and
 # leading-term's series product grows as n^6; GAUSSDET_MAX_N may only lower them.
 CHECKS = {
     "verify-u": (1, 10, 30, ("entries_checked", "first_mismatch")),
@@ -140,7 +140,9 @@ def _csv_ints(text: str) -> list[int]:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built on the first main() call, not at import, and reused by every later
-    # call in the process: parsing leaves the parser unchanged
+    # call in the process: parsing leaves the parser unchanged.  So the handler
+    # objects and the defaults (DEFAULT_ORACLE_BOUND) are fixed at that first
+    # call; the checks a handler calls are still looked up at each call
     parser = argparse.ArgumentParser(
         prog="gaussdet",
         description=(

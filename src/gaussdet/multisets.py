@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -177,7 +176,7 @@ class SimplexSpec:
 # P_d(k) for k = 0, 1, ..., by sum, for each depth d a spec has asked for: the
 # number of chains k >= v_1 >= ... >= v_d >= 0 with each sum, which is the
 # Gaussian binomial [d + k choose d] read by powers of x.  One row list per
-# depth; no row is ever changed, and no multiset shares one.
+# depth; rows are only read, never changed.
 _ROWS: dict[int, list[list[int]]] = {}
 
 # the most counts the table holds, about 4 MB at the largest counts a request
@@ -193,7 +192,7 @@ def _row_counts(depth: int, size: int) -> int:
 
 
 def _q_pascal(depth: int, size: int) -> Iterator[list[int]]:
-    """P_depth(k) for k = 0..size-1, each row a new list."""
+    """P_depth(k) for k = 0..size-1; no row is changed once yielded (at depth 0 all are one [1])."""
     # chains[d] is P_d(b); before the first step b = -1, where only the empty
     # chain (d = 0) exists
     chains: list[list[int]] = [[1]] + [[] for _ in range(depth)]
@@ -230,22 +229,23 @@ def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
     recurrence of the Gaussian binomials.  Those rows are shared per depth
     across calls, built once up to the largest delta asked for (rows too
     large for the table are streamed instead), so each call pays only its
-    accumulation: one shifted row per k, about n*delta^2/2 additions, not
-    the cardinality C(k+n-1, n-1) per k.  All multiplicities are positive.
+    accumulation: one shifted row per k summed by exponent, about
+    n*delta^2/2 additions whatever beta is, not the cardinality
+    C(k+n-1, n-1) per k.  All multiplicities are positive.
     """
     # epsilon pins k' to k, which leaves a chain one coordinate shorter;
     # with one coordinate there is no k' to pin
     pinned = spec.epsilon if spec.n > 1 else 0
     depth = spec.n - 1 - pinned
-    # term k is x^(alpha + step*k) * P_depth(k), laid out from the first k's shift
+    # term k is x^(alpha + step*k) * P_depth(k); summed by exponent, so the
+    # cost never grows with beta or alpha
     step = spec.beta + pinned
-    first = spec.gamma - 1
-    counts = [0] * (step * (spec.delta - 1 - first) + depth * (spec.delta - 1) + 1)
-    for i, row in enumerate(islice(_chain_rows(depth, spec.delta), first, spec.delta)):
-        at, end = step * i, step * i + len(row)
-        counts[at:end] = map(add, counts[at:end], row)
-    base = spec.alpha + step * first
-    return SignedMultiset._of({e: m for e, m in enumerate(counts, base) if m})
+    counts: dict[int, int] = {}
+    rows = islice(_chain_rows(depth, spec.delta), spec.gamma - 1, spec.delta)
+    for k, row in enumerate(rows, spec.gamma - 1):
+        for e, m in enumerate(row, spec.alpha + step * k):
+            counts[e] = counts.get(e, 0) + m
+    return SignedMultiset._of(counts)
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,47 @@ def test_returned_multisets_never_alias_a_cached_row(monkeypatch):
         assert enumerate_simplex(spec) == literal_simplex(spec)
 
 
+LARGE = 10**12
+
+
+@pytest.mark.parametrize(
+    "identity, params",
+    [
+        ("MI1", (1, 0, LARGE, 3)),
+        ("MI1", (3, 5, LARGE, 6)),
+        ("MI6", (1, LARGE, 2)),
+        ("MI6", (3, LARGE, 4)),
+        ("MI6", (2, LARGE, 12)),
+    ],
+)
+def test_a_large_beta_is_counted_by_exponent(monkeypatch, identity, params):
+    # the exponents span about beta*delta, the counts only n*delta^2/2: a dense
+    # layout over the span would not fit in memory
+    terms = []
+    real_term = multisets._term
+
+    def recording(*term):
+        terms.append(term)
+        return real_term(*term)
+
+    monkeypatch.setattr(multisets, "_term", recording)
+    report = verify_identity(identity, params)
+    assert report.equal
+    assert max(element for element, _ in report.lhs.items()) >= LARGE
+    for term in terms:
+        spec = SimplexSpec(*term)
+        assert enumerate_simplex(spec) == literal_simplex(spec), term
+
+
+@pytest.mark.parametrize("w, i", [(2, 3), (3, 6)])
+def test_a_large_j_lift_equals_its_literal_terms(w, i):
+    (lhs0, lhs1), (rhs0, rhs1) = multisets._mi6(w - 1, LARGE - w + 1, i - w + 1)
+    literal = {term: literal_simplex(SimplexSpec(*term)) for term in (lhs0, lhs1, rhs0, rhs1)}
+    lhs, rhs = lift_duality(w, i, LARGE)
+    assert lhs == literal[lhs0].difference(literal[rhs1])
+    assert rhs == literal[rhs0].difference(literal[lhs1])
+
+
 def test_term_specs_are_pinned(monkeypatch):
     # sha256 prefix of every _term spec, in call order, of the multiset --sweep
     # grid, the verify-all lift grid, MI6 at (8, 6, 12) and MI1 at (30, 0, 1, 40)
