@@ -49,7 +49,7 @@ EXIT_USAGE = 2
 # Each n-indexed check: the first and last n of its --sweep (GAUSSDET_MAX_N lowers
 # the last), its largest --n (None where the check refuses a large n itself), and
 # the keys of its entry that verify-all reports.  The symbolic limits keep each
-# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 6 s, and
+# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 4.5 s, and
 # leading-term's series product grows as n^6; GAUSSDET_MAX_N may only lower them.
 CHECKS = {
     "verify-u": (1, 10, 30, ("entries_checked", "first_mismatch")),

@@ -3,16 +3,17 @@
 ``EtaPoly`` is a dense univariate polynomial in the formal variable eta with
 ``int`` coefficients, whose ``/`` is exact division; it is immutable.
 
-Every stage entry of the elimination is an integer polynomial: each pivot is
-a product of h-factors with leading coefficient +-1, so every quotient
-divides exactly, as in fraction-free elimination.  A quotient that does not
-is an ``ArithmeticError``, never a rational function.
+Every stage entry of the elimination is an integer polynomial: each row's
+multiplier, its entry over the pivot, is a power of eta times a Gaussian
+binomial in eta^2, so every quotient divides exactly.  A quotient that does
+not is an ``ArithmeticError``, never a rational function.
 
 All operations are pure functions over immutable values, so concurrent use
 needs no locking.  A product of two dense polynomials is one big-int product
 of their packed coefficients, and an exact quotient is one packed big-int
-division, checked by multiplying back; coefficients too wide for the packing
-keep the term-by-term loops.
+division, checked by multiplying back.  A product too wide for 64-bit slots
+is packed at wider ones, and a quotient too wide for them takes long
+division.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def _render_terms(terms: Iterable[tuple[int, int]]) -> str:
 # of magnitude below 2^63.  Adding 2^63 to every slot of a(2^64) gives
 # nonnegative digits, and flipping each slot's top bit turns those into two's
 # complement, so both directions convert bytes with ``struct`` and without
-# carry handling in Python.  A product or quotient whose coefficients may not
-# fit a slot keeps the term-by-term loop.
+# carry handling in Python.  A product whose coefficients may not fit a slot
+# is packed at wider whole-byte slots (``_wide_product``); a quotient that may
+# not fit takes long division.
 
 # Nonzero terms of the sparser operand from which a packed product beats the
 # term-by-term loop.  On the products of the elimination and its closed forms,
@@ -89,14 +91,44 @@ def _padded(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     return (a, b + (0,) * pad) if pad >= 0 else (a + (0,) * -pad, b)
 
 
+def _product_bound(a, b) -> int:
+    """The least count times the largest magnitudes: no product coefficient exceeds it."""
+    return min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+
+
 def _packed_product(a, b) -> list[int] | None:
     """Coefficients of the product of two integer coefficient sequences, neither all zero.
 
     None when a product coefficient could reach 2^63.
     """
-    if min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)) >= _SLOT_LIMIT:
+    if _product_bound(a, b) >= _SLOT_LIMIT:
         return None
     return _unpack(_pack(a) * _pack(b), len(a) + len(b) - 1)
+
+
+def _wide_product(a, b) -> list[int]:
+    """Coefficients of the product of two integer coefficient sequences, neither all zero.
+
+    Packed like ``_packed_product``, at whole-byte slots wide enough for the
+    product's bound, whatever it is.  Each slot holds its coefficient plus
+    half the slot's range (offset binary), so every digit is nonnegative and
+    converts with ``to_bytes``/``from_bytes``; the offsets of all slots are
+    subtracted from a packed factor, and added to the product before it is
+    cut into slots.
+    """
+    width = (_product_bound(a, b).bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    offset = half.to_bytes(width, "little")
+
+    def pack(coeffs) -> int:
+        digits = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+        return int.from_bytes(digits, "little") - int.from_bytes(offset * len(coeffs), "little")
+
+    count = len(a) + len(b) - 1
+    product = pack(a) * pack(b) + int.from_bytes(offset * count, "little")
+    digits = product.to_bytes(width * count, "little")
+    return [int.from_bytes(digits[k:k + width], "little") - half
+            for k in range(0, len(digits), width)]
 
 
 class EtaPoly:
@@ -233,8 +265,7 @@ class EtaPoly:
             return EtaPoly((0,) * (len(a) - 1) + (b if c == 1 else tuple(c * x for x in b)))
         if min(terms_a, terms_b) >= _PACKED_MIN_TERMS:
             packed = _packed_product(a, b)
-            if packed is not None:
-                return EtaPoly(packed)
+            return EtaPoly(_wide_product(a, b) if packed is None else packed)
         out = [0] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:

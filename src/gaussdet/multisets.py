@@ -374,8 +374,10 @@ def verify_identity(identity: str, params: Sequence[int]) -> IdentityReport:
         )
     lhs = _side(lhs_terms)
     rhs = _side(rhs_terms)
-    diff = lhs.difference(rhs)
-    return IdentityReport(identity, tuple(params), lhs, rhs, not diff, diff)
+    # the difference is built only when it is not empty: a passing instance copies no dict
+    equal = lhs == rhs
+    diff = SignedMultiset() if equal else lhs.difference(rhs)
+    return IdentityReport(identity, tuple(params), lhs, rhs, equal, diff)
 
 
 def _side(plus, minus=()) -> SignedMultiset:

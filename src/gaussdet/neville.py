@@ -3,12 +3,14 @@
 The matrix under study has entries eta^((i-j)^2) for evenly spaced points
 (the common variance factor sigma_z^2 is not an input: this is V / sigma_z^2).
 Elimination proceeds without pivoting: stage s+1 subtracts, from every entry
-with row and column beyond s, the product of its row's and column's stage-s
-entries over the stage-s pivot.  Every stage is recorded so the trace can be
-compared entry by entry against closed forms.  Stage entries are integer
-eta-polynomials (``EtaPoly``), whose ``/`` is exact division: every quotient
-divides exactly, and one that does not is an ArithmeticError naming its
-stage, row and column.
+with row and column beyond s, its row's multiplier times the stage-s pivot
+row's entry in its column.  Row i's multiplier is its stage-s entry in column
+s over the stage-s pivot, eta^((i-s)^2) times the Gaussian binomial
+[i-1 choose s-1] in eta^2, so V = L D L^T with a polynomial L.  Every stage
+is recorded so the trace can be compared entry by entry against closed
+forms.  Stage entries are integer eta-polynomials (``EtaPoly``), whose ``/``
+is exact division: every multiplier divides exactly, and one that does not is
+an ArithmeticError naming its stage, row and column.
 
 The elimination runs in z = eta^2 on the upper half of the symmetric active
 block (see ``neville_eliminate``); the trace it records is in eta.  Matrices
@@ -129,15 +131,19 @@ def neville_eliminate(n: int) -> EliminationTrace:
 
     Stage 1 is the matrix eta^((i-j)^2).  Every stage-s entry is
     eta^((i-j)^2) * Q(s, i, j)(z) with z = eta^2, since
-    (i-s)^2 + (s-j)^2 = (i-j)^2 + 2(i-s)(j-s), so the stage rule
-    U(s+1,i,j) = U(s,i,j) - U(s,i,s)*U(s,s,j)/U(s,s,s) becomes
-    Q(s+1,i,j) = Q(s,i,j) - z^((i-s)(j-s)) * Q(s,i,s)*Q(s,s,j)/Q(s,s,s).
-    Only the current active block is kept in z, and only its j >= i half:
-    the block stays symmetric, so the (j, i) entry of the trace is the same
-    object as the (i, j) entry.  A row that leaves the active block keeps
-    the one tuple it had there at every later stage.  A quotient that does
-    not divide exactly raises ArithmeticError naming the stage, row and
-    column of the entry being computed.
+    (i-s)^2 + (s-j)^2 = (i-j)^2 + 2(i-s)(j-s).  Row i's multiplier
+    U(s,i,s)/U(s,s,s) is eta^((i-s)^2) * M(s, i) with
+    M(s, i) = Q(s,i,s)/Q(s,s,s), the Gaussian binomial [i-1 choose s-1] in z,
+    so the stage rule U(s+1,i,j) = U(s,i,j) - U(s,i,s)/U(s,s,s) * U(s,s,j)
+    becomes Q(s+1,i,j) = Q(s,i,j) - z^((i-s)(j-s)) * M(s,i) * Q(s,s,j).
+    Each active row makes one exact division, for its multiplier, and every
+    entry of the row reuses it: n(n-1)/2 divisions in all.  Only the current
+    active block is kept in z, and only its j >= i half: the block stays
+    symmetric, so the (j, i) entry of the trace is the same object as the
+    (i, j) entry.  A row that leaves the active block keeps the one tuple it
+    had there at every later stage.  A multiplier that does not divide
+    exactly raises ArithmeticError naming the stage, and the row and column
+    (i, i) of the first entry that needs it.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -157,15 +163,15 @@ def neville_eliminate(n: int) -> EliminationTrace:
         frozen.append(active[0])
         pivot_row, q[s] = q[s], None
         for i in range(s + 1, n):
-            row_factor = pivot_row[i - s]
+            try:
+                multiplier = pivot_row[i - s] / pivot_row[0]
+            except ArithmeticError as exc:
+                raise ArithmeticError(
+                    f"inexact quotient at stage {s + 2}, row {i + 1}, column {i + 1}: {exc}"
+                ) from exc
             for j in range(i, n):
-                try:
-                    quotient = row_factor * pivot_row[j - s] / pivot_row[0]
-                except ArithmeticError as exc:
-                    raise ArithmeticError(
-                        f"inexact quotient at stage {s + 2}, row {i + 1}, column {j + 1}: {exc}"
-                    ) from exc
-                q[i][j - i] = q[i][j - i] - EtaPoly.monomial((i - s) * (j - s)) * quotient
+                update = EtaPoly.monomial((i - s) * (j - s)) * (multiplier * pivot_row[j - s])
+                q[i][j - i] = q[i][j - i] - update
     return EliminationTrace(tuple(stages))
 
 

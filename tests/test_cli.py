@@ -384,6 +384,14 @@ def test_reports_at_n_twenty_are_pinned(run, argv, digest):
     assert report_digest(out) == digest
 
 
+def test_verify_det_at_n_thirty_is_pinned(run):
+    # recorded with one exact division per entry of the active block, before one per row;
+    # the pivot product here has coefficients wider than a 64-bit slot
+    code, out, _ = run("verify-det", "--n", "30", "--format", "json")
+    assert code == 0
+    assert report_digest(out) == "755e7287025e82b6"
+
+
 @pytest.mark.parametrize(
     "eta, digest",
     [

@@ -273,6 +273,32 @@ def test_poly_product_on_both_sides_of_the_term_threshold(terms, bits):
     assert exact._packed_product(a, b) == packed_product_expected(a, b)
 
 
+@given(int_seqs, int_seqs)
+def test_wide_product_is_the_schoolbook_product(a, b):
+    assert exact._wide_product(a, b) == schoolbook(a, b)
+
+
+@pytest.mark.parametrize("bits", [60, 63, 64, 100, 200])
+@pytest.mark.parametrize("terms", [exact._PACKED_MIN_TERMS - 1, exact._PACKED_MIN_TERMS, 25])
+def test_wide_product_on_both_sides_of_the_term_threshold(terms, bits):
+    # every slot of a factor is nonzero and the sign alternates, so the product's
+    # middle coefficients reach the bound's magnitude
+    a = [(-1) ** k * (2 ** bits - k) for k in range(terms)]
+    b = [2 ** bits - 1, -(2 ** bits - 1), 1, -5] * 4
+    expected = schoolbook(a, b)
+    assert exact._wide_product(a, b) == expected
+    assert EtaPoly(a) * EtaPoly(b) == EtaPoly(expected)
+
+
+def test_wide_product_fills_its_slots():
+    # a one-byte slot holds magnitudes below 2^7: a bound of 127 fits one byte,
+    # 128 takes two, and 2^64 takes nine
+    assert exact._wide_product([-127], [1, -1, 0, 1]) == [-127, 127, 0, -127]
+    assert exact._wide_product([128], [-1, 1]) == [-128, 128]
+    top = 2 ** 63
+    assert exact._wide_product([top, 0, -1], [1, -1]) == [top, -top, -1, 1]
+
+
 @given(int_polys, nonzero_int_polys)
 def test_exact_quotient_is_the_divmod_quotient(a, b):
     # an exact case built from the pair, and the pair itself, usually inexact;

@@ -330,3 +330,37 @@ def test_forced_inexact_quotient_names_stage_row_and_column(monkeypatch):
     monkeypatch.setattr(EtaPoly, "__truediv__", lambda a, b: exact_division(a, b + mono(1)))
     with pytest.raises(ArithmeticError, match=r"^inexact quotient at stage 2, row 2, column 2: "):
         neville_eliminate(3)
+
+
+def gaussian_binomial_in_eta(m, k):
+    """[m choose k] in eta^2 by the product formula: prod over t <= k of h_(m-k+t) / h_t."""
+    numerator = denominator = EtaPoly.one()
+    for t in range(1, k + 1):
+        numerator = numerator * poly_h(m - k + t)
+        denominator = denominator * poly_h(t)
+    return numerator / denominator
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_multipliers_are_gaussian_binomials(n):
+    # row i's multiplier at stage s is eta^((i-s)^2) * [i-1 choose s-1] in eta^2
+    trace = neville_eliminate(n)
+    for s in range(1, n + 1):
+        stage = trace.stage(s)
+        for i in range(s, n + 1):
+            multiplier = stage.entry(i, s) / stage.entry(s, s)
+            assert multiplier == mono((i - s) ** 2) * gaussian_binomial_in_eta(i - 1, s - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_one_exact_division_per_row_and_stage(n, monkeypatch):
+    divisions = []
+    exact_division = EtaPoly.__truediv__
+
+    def counted(a, b):
+        divisions.append((a, b))
+        return exact_division(a, b)
+
+    monkeypatch.setattr(EtaPoly, "__truediv__", counted)
+    neville_eliminate(n)
+    assert len(divisions) == n * (n - 1) // 2
