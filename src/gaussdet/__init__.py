@@ -39,7 +39,7 @@ from .closedform import (
     superfactorial,
     verify_closed_form,
 )
-from .tpprobe import MinorIndex, TpReport, all_minors_positive, minor_value
+from .tpprobe import MinorIndex, TpReport, all_minors_positive
 
 __version__ = "0.1.0"
 
@@ -77,6 +77,5 @@ __all__ = [
     "MinorIndex",
     "TpReport",
     "all_minors_positive",
-    "minor_value",
     "__version__",
 ]

@@ -156,6 +156,16 @@ class EtaPoly:
         self._coeffs = tuple(cs)
 
     @classmethod
+    def _of(cls, coeffs: Iterable[int]) -> "EtaPoly":
+        """The polynomial of coefficients already known to be ints, trailing zeros stripped."""
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        poly = cls.__new__(cls)
+        poly._coeffs = tuple(cs)
+        return poly
+
+    @classmethod
     def zero(cls) -> "EtaPoly":
         return cls()
 
@@ -188,9 +198,7 @@ class EtaPoly:
             return self
         coeffs = [0] * (shift + 2 * len(self._coeffs) - 1)
         coeffs[shift::2] = self._coeffs
-        out = EtaPoly.__new__(EtaPoly)
-        out._coeffs = tuple(coeffs)
-        return out
+        return EtaPoly._of(coeffs)
 
     # An elimination stage entry as numerator over the constant one: the
     # interface that perfbench/tracer.py::_entry_size reads, their only
@@ -226,20 +234,18 @@ class EtaPoly:
         other = EtaPoly._coerce(other)
         if other is None:
             return NotImplemented
-        return EtaPoly(map(operator.add, *_padded(self._coeffs, other._coeffs)))
+        return EtaPoly._of(map(operator.add, *_padded(self._coeffs, other._coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = EtaPoly.__new__(EtaPoly)
-        out._coeffs = tuple(-c for c in self._coeffs)
-        return out
+        return EtaPoly._of(-c for c in self._coeffs)
 
     def __sub__(self, other):
         other = EtaPoly._coerce(other)
         if other is None:
             return NotImplemented
-        return EtaPoly(map(operator.sub, *_padded(self._coeffs, other._coeffs)))
+        return EtaPoly._of(map(operator.sub, *_padded(self._coeffs, other._coeffs)))
 
     def __rsub__(self, other):
         other = EtaPoly._coerce(other)
@@ -249,7 +255,7 @@ class EtaPoly:
 
     def __mul__(self, other):
         if type(other) is int:
-            return EtaPoly(x * other for x in self._coeffs)
+            return EtaPoly._of(x * other for x in self._coeffs)
         if not isinstance(other, EtaPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -262,17 +268,17 @@ class EtaPoly:
         if min(terms_a, terms_b) == 1:
             # a is c*eta^k: shift b by k places and scale it by c
             c = a[-1]
-            return EtaPoly((0,) * (len(a) - 1) + (b if c == 1 else tuple(c * x for x in b)))
+            return EtaPoly._of((0,) * (len(a) - 1) + (b if c == 1 else tuple(c * x for x in b)))
         if min(terms_a, terms_b) >= _PACKED_MIN_TERMS:
             packed = _packed_product(a, b)
-            return EtaPoly(_wide_product(a, b) if packed is None else packed)
+            return EtaPoly._of(_wide_product(a, b) if packed is None else packed)
         out = [0] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:
                 for j, cj in enumerate(b):
                     if cj:
                         out[i + j] += ci * cj
-        return EtaPoly(out)
+        return EtaPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -352,7 +358,7 @@ def _exact_quotient(a: EtaPoly, b: EtaPoly) -> EtaPoly:
         if remainder:
             raise ArithmeticError(f"{b} does not divide {a} over the integers")
         try:
-            quotient = EtaPoly(_unpack(packed, len(ca) - len(cb) + 1))
+            quotient = EtaPoly._of(_unpack(packed, len(ca) - len(cb) + 1))
         except OverflowError:
             pass  # a quotient coefficient needs more than a slot
         else:
@@ -373,4 +379,4 @@ def _exact_quotient(a: EtaPoly, b: EtaPoly) -> EtaPoly:
                 rem[k - db + m] -= qc * cm
     if any(rem):
         raise ArithmeticError(f"{b} does not divide {a} over the integers")
-    return EtaPoly(quot)
+    return EtaPoly._of(quot)

@@ -21,40 +21,31 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exact import EtaPoly
-
-# a rational, or a symbolic stage entry (an integer eta-polynomial)
-Entry = Union[int, Fraction, EtaPoly]
 
 # Largest matrix size the Leibniz oracle accepts: its walk still visits all
 # 8! = 40,320 permutations, though each prefix product is shared.
 ORACLE_MAX_N = 8
 
 
-def _exact_entry(value: Entry) -> Fraction | EtaPoly:
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, (Fraction, EtaPoly)):
-        return value
-    raise TypeError(f"exact matrix entry expected, got {type(value).__name__}")
-
-
 class SymMatrix:
-    """Square matrix of exact entries: rationals or integer eta-polynomials.
+    """Square matrix of integer eta-polynomials (``EtaPoly``).
 
-    An ``int`` entry is stored as a ``Fraction``, so that quotients of
-    entries stay exact; an entry of any other type (``float`` and
+    An entry of any other type (``int``, ``Fraction``, ``float`` and
     ``bool`` among them) is a ``TypeError``.  ``entry(i, j)`` is 1-based,
     matching the row/column conventions of the elimination stages.
     """
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Sequence[Sequence[Entry]]) -> None:
-        rows = tuple(tuple(map(_exact_entry, r)) for r in rows)
+    def __init__(self, rows: Sequence[Sequence[EtaPoly]]) -> None:
+        rows = tuple(map(tuple, rows))
+        for row in rows:
+            for entry in row:
+                if not isinstance(entry, EtaPoly):
+                    raise TypeError(f"EtaPoly matrix entry expected, got {type(entry).__name__}")
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("a nonempty square matrix is required")
         self._rows = rows
@@ -71,10 +62,10 @@ class SymMatrix:
         return len(self._rows)
 
     @property
-    def rows(self) -> tuple[tuple[Entry, ...], ...]:
+    def rows(self) -> tuple[tuple[EtaPoly, ...], ...]:
         return self._rows
 
-    def entry(self, i: int, j: int) -> Entry:
+    def entry(self, i: int, j: int) -> EtaPoly:
         if not (1 <= i <= self.size and 1 <= j <= self.size):
             raise IndexError(f"entry ({i}, {j}) outside 1..{self.size}")
         return self._rows[i - 1][j - 1]
@@ -106,7 +97,7 @@ class EliminationTrace:
             raise IndexError(f"stage {s!r} outside 1..{self.n}")
         return self.stages[s - 1]
 
-    def diagonal(self, s: int) -> Entry:
+    def diagonal(self, s: int) -> EtaPoly:
         """The (s, s) entry at stage s, where it has stabilized."""
         return self.stage(s).entry(s, s)
 
@@ -175,7 +166,7 @@ def neville_eliminate(n: int) -> EliminationTrace:
     return EliminationTrace(tuple(stages))
 
 
-def diagonal_product(trace: EliminationTrace) -> Entry:
+def diagonal_product(trace: EliminationTrace) -> EtaPoly:
     """Product of the stabilized stage diagonals: the determinant."""
     product = trace.diagonal(1)
     for s in range(2, trace.n + 1):
@@ -183,7 +174,7 @@ def diagonal_product(trace: EliminationTrace) -> Entry:
     return product
 
 
-def brute_force_det(v: SymMatrix) -> Entry:
+def brute_force_det(v: SymMatrix) -> EtaPoly:
     """Leibniz-sum determinant: exact and independent of elimination.
 
     A depth-first walk over the rows visits every one of the n! permutations,
@@ -191,32 +182,21 @@ def brute_force_det(v: SymMatrix) -> Entry:
     is computed once and shared by every permutation that extends it, and
     the sign flips whenever the chosen column sits at an odd position among
     the columns still unused (the inversions that choice adds).  Each entry
-    is read once as sparse (exponent, coefficient) terms: a nonzero rational
-    is one term at exponent 0, and a zero entry has none, so its subtree is
-    skipped.  A product step adds exponents and multiplies coefficients, so
-    on monomial entries (the covariance's) the walk has n! leaves, and an
-    entry of t terms multiplies the leaves below it by t.  Every signed term
-    goes into one exponent -> coefficient table, which becomes the result:
-    an ``EtaPoly`` for a matrix of eta-polynomials, a ``Fraction`` for a
-    rational one.  A matrix that mixes the two is a ``TypeError``.  The
-    factorial cost is capped at ORACLE_MAX_N.
+    is read once as sparse (exponent, coefficient) terms, so a zero entry
+    has none and its subtree is skipped.  A product step adds exponents and
+    multiplies coefficients, so on monomial entries (the covariance's) the
+    walk has n! leaves, and an entry of t terms multiplies the leaves below
+    it by t.  Every signed term goes into one exponent -> coefficient table,
+    which becomes the resulting ``EtaPoly``.  The factorial cost is capped
+    at ORACLE_MAX_N.
     """
     n = v.size
     if n > ORACLE_MAX_N:
         raise ValueError(f"matrix size {n} exceeds the Leibniz oracle limit {ORACLE_MAX_N}")
-    rows = v.rows
-    kinds = {type(entry) for row in rows for entry in row}
-    if len(kinds) > 1:
-        names = " and ".join(sorted(kind.__name__ for kind in kinds))
-        raise TypeError(f"the Leibniz oracle needs entries of one type, got {names}")
-    symbolic = EtaPoly in kinds
-    terms = [
-        [tuple(entry.terms()) if symbolic else ((0, entry),) if entry else () for entry in row]
-        for row in rows
-    ]
-    table: dict[int, Entry] = {}
+    terms = [[tuple(entry.terms()) for entry in row] for row in v.rows]
+    table: dict[int, int] = {}
 
-    def walk(i: int, free: tuple[int, ...], exponent: int, coeff) -> None:
+    def walk(i: int, free: tuple[int, ...], exponent: int, coeff: int) -> None:
         row = terms[i]
         if i == n - 1:
             for k, c in row[free[0]]:
@@ -231,8 +211,6 @@ def brute_force_det(v: SymMatrix) -> Entry:
                     walk(i + 1, rest, exponent + k, signed * c)
 
     walk(0, tuple(range(n)), 0, 1)
-    if not symbolic:
-        return table.get(0, Fraction(0))
     coeffs = [0] * (max(table, default=-1) + 1)
     for k, c in table.items():
         coeffs[k] = c

@@ -9,9 +9,6 @@ genuine counterexample.
 ``all_minors_positive`` works on the integer matrix q^((n-1)^2) * V at
 eta = p/q and builds every order-k minor by Laplace expansion along its last
 row from the stored order-(k-1) minors, k multiplications each.
-``minor_value`` evaluates a single minor from scratch by fraction-free
-(Bareiss) elimination over ``Fraction`` and serves as the independent oracle
-for the sweep.
 """
 
 from __future__ import annotations
@@ -55,13 +52,6 @@ class MinorIndex:
             if idx[0] < 1:
                 raise ValueError(f"{name} must be >= 1, got {idx}")
 
-    def validate_for(self, n: int) -> None:
-        if self.rows[-1] > n or self.cols[-1] > n:
-            raise ValueError(f"index sets {self} exceed matrix size {n}")
-
-    def __str__(self) -> str:
-        return f"rows={list(self.rows)}, cols={list(self.cols)}"
-
 
 @dataclass(frozen=True)
 class TpReport:
@@ -81,43 +71,6 @@ def _validate_eta(eta_value) -> Fraction:
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     return eta
-
-
-def _det_bareiss(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Fraction-free elimination; every division is exact."""
-    m = [list(r) for r in rows]
-    k = len(m)
-    sign = 1
-    prev = Fraction(1)
-    for col in range(k - 1):
-        if m[col][col] == 0:
-            for swap in range(col + 1, k):
-                if m[swap][col] != 0:
-                    m[col], m[swap] = m[swap], m[col]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[col][col]
-        for i in range(col + 1, k):
-            for j in range(col + 1, k):
-                m[i][j] = (m[i][j] * pivot - m[i][col] * m[col][j]) / prev
-            m[i][col] = Fraction(0)
-        prev = pivot
-    return sign * m[-1][-1]
-
-
-def _submatrix(eta: Fraction, rows: Sequence[int], cols: Sequence[int]):
-    return [[eta ** ((i - j) ** 2) for j in cols] for i in rows]
-
-
-def minor_value(n: int, eta_value, idx: MinorIndex) -> Fraction:
-    """Exact determinant of the selected submatrix at the given eta."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    eta = _validate_eta(eta_value)
-    idx.validate_for(n)
-    return _det_bareiss(_submatrix(eta, idx.rows, idx.cols))
 
 
 def _laplace_minors(matrix: Sequence[Sequence[int]]):

@@ -1,20 +1,26 @@
-"""The generic elimination and Leibniz sum of any exact ``SymMatrix``: the tests' oracles.
+"""The tests' oracles: generic elimination, the Leibniz sum and Bareiss minors.
 
 ``gaussdet.neville_eliminate`` eliminates only the covariance, in z = eta^2
-on the symmetric active block.  This is the elimination it replaced, kept
-as it was: it works on the whole n x n block of any rational or eta-poly
-matrix, so it checks the symbolic kernel entry by entry and runs the
-numeric ``Fraction`` checks.  ``leibniz_det`` is the plain Leibniz sum that
+on the symmetric active block.  ``eliminate_matrix`` is the elimination it
+replaced, kept as it was: it works on the whole n x n block of the rows of
+any square matrix over an exact ring with exact ``/`` (``EtaPoly`` or
+``Fraction``), so it checks the symbolic kernel entry by entry and, on the
+covariance at a rational eta, the symbolic trace evaluated there.
+``leibniz_det`` is the plain Leibniz sum that
 ``gaussdet.brute_force_det``'s prefix-sharing walk replaced, kept as the
-reference for that walk.
+reference for that walk.  ``bareiss_det`` and ``minor_value`` evaluate one
+minor from scratch by fraction-free elimination, the oracle of
+``gaussdet.all_minors_positive`` and its Laplace kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from gaussdet.exact import EtaPoly
-from gaussdet.neville import EliminationTrace, SymMatrix
+from gaussdet.neville import SymMatrix
+from gaussdet.tpprobe import MinorIndex, _validate_eta
 
 
 class ZeroPivotError(ArithmeticError):
@@ -38,9 +44,10 @@ def build_covariance(n: int) -> SymMatrix:
     )
 
 
-def eliminate_matrix(v: SymMatrix) -> EliminationTrace:
-    """Run pivot-free elimination, recording every stage.
+def eliminate_matrix(rows) -> tuple:
+    """Run pivot-free elimination on the rows of a square matrix, recording every stage.
 
+    Returns the stages, each a tuple of row tuples; stage 1 is the input.
     Stage s+1 copies rows 1..s, zeroes column s below the diagonal, and
     updates every remaining entry by the stage-s rule
     U(s+1,i,j) = U(s,i,j) - U(s,i,s)*U(s,s,j)/U(s,s,s).  A zero pivot is a
@@ -48,9 +55,9 @@ def eliminate_matrix(v: SymMatrix) -> EliminationTrace:
     a quotient that does not divide exactly: its ArithmeticError is raised
     again naming the stage, row and column of the entry being computed.
     """
-    n = v.size
-    stages = [v]
-    current = [list(row) for row in v.rows]
+    current = tuple(map(tuple, rows))
+    n = len(current)
+    stages = [current]
     for s in range(1, n):
         pivot = current[s - 1][s - 1]
         if pivot == 0:
@@ -69,15 +76,14 @@ def eliminate_matrix(v: SymMatrix) -> EliminationTrace:
                         f"inexact quotient at stage {s + 1}, row {i + 1}, column {j + 1}: {exc}"
                     ) from exc
                 nxt[i][j] = current[i][j] - quotient
-        stages.append(SymMatrix(nxt))
-        current = nxt
-    return EliminationTrace(tuple(stages))
+        current = tuple(map(tuple, nxt))
+        stages.append(current)
+    return tuple(stages)
 
 
-def leibniz_det(v: SymMatrix):
+def leibniz_det(rows):
     """The Leibniz sum term by term: one product and one inversion count per permutation."""
-    n = v.size
-    rows = v.rows
+    n = len(rows)
     first = rows[0][0]
     total = first - first  # additive zero of the entries
     for perm in itertools.permutations(range(n)):
@@ -92,3 +98,35 @@ def leibniz_det(v: SymMatrix):
             term = term * rows[i][perm[i]]
         total = total - term if inversions & 1 else total + term
     return total
+
+
+def bareiss_det(rows) -> Fraction:
+    """Fraction-free elimination of rational rows; every division is exact."""
+    m = [list(r) for r in rows]
+    k = len(m)
+    sign = 1
+    prev = Fraction(1)
+    for col in range(k - 1):
+        if m[col][col] == 0:
+            for swap in range(col + 1, k):
+                if m[swap][col] != 0:
+                    m[col], m[swap] = m[swap], m[col]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = m[col][col]
+        for i in range(col + 1, k):
+            for j in range(col + 1, k):
+                m[i][j] = (m[i][j] * pivot - m[i][col] * m[col][j]) / prev
+            m[i][col] = Fraction(0)
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def minor_value(n: int, eta_value, idx: MinorIndex) -> Fraction:
+    """The minor of the n-point covariance at eta selected by idx, by Bareiss."""
+    if idx.rows[-1] > n or idx.cols[-1] > n:
+        raise ValueError(f"index sets rows={list(idx.rows)}, cols={list(idx.cols)} exceed matrix size {n}")
+    eta = _validate_eta(eta_value)
+    return bareiss_det([[eta ** ((i - j) ** 2) for j in idx.cols] for i in idx.rows])

@@ -18,6 +18,7 @@ from gaussdet.closedform import (
 )
 from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
+    EliminationTrace,
     SymMatrix,
     brute_force_det,
     diagonal_product,
@@ -162,7 +163,7 @@ def test_verify_closed_form_accepts_precomputed_trace():
 def test_verify_closed_form_reports_first_mismatch():
     # a trace whose input has eta^2 for eta at the first off-diagonal entry
     one, eta, eta_sq = (EtaPoly.monomial(k) for k in range(3))
-    wrong = eliminate_matrix(SymMatrix([[one, eta_sq], [eta, one]]))
+    wrong = EliminationTrace(tuple(map(SymMatrix, eliminate_matrix(((one, eta_sq), (eta, one))))))
     report = verify_closed_form(2, trace=wrong)
     assert not report.agree
     assert report.first_mismatch == (1, 1, 2)

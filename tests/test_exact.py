@@ -326,6 +326,45 @@ def test_exact_quotient_wider_than_a_slot_takes_long_division():
     assert exact._unpack(packed, 68) != list((EtaPoly((1, 1)) ** 67).coefficients)
 
 
+def assert_canonical(p):
+    """p is the polynomial the checked public constructor builds from its coefficients."""
+    rebuilt = EtaPoly(list(p.coefficients))
+    assert p.coefficients == rebuilt.coefficients
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+def test_kernel_results_are_canonical():
+    schoolbook_factor = EtaPoly((1, 0, -2, 3))
+    packed_factor = EtaPoly(range(-4, 6))  # nine nonzero terms
+    wide_factor = EtaPoly([(-1) ** k * (2 ** 70 - k) for k in range(exact._PACKED_MIN_TERMS)])
+    slot_wide = EtaPoly((1, 1)) ** 67
+    results = [
+        H1 + ETA, H1 - ETA, H1 + 1, 1 - H1, -H1,
+        packed_factor * 3, packed_factor * -1,
+        EtaPoly((0, 0, 0, -2)) * packed_factor,
+        packed_factor * packed_factor,
+        wide_factor * packed_factor,
+        schoolbook_factor * H1,
+        (packed_factor * H1) / H1,
+        (slot_wide * EtaPoly((1, -1))) / EtaPoly((1, -1)),
+        H1.in_eta(), H1.in_eta(3),
+    ]
+    for result in results:
+        assert_canonical(result)
+
+
+def test_kernel_results_cancel_to_the_zero_polynomial():
+    p = EtaPoly((1, 1))
+    for zero in (p - p, p + -p, p * 0, 0 * p, p * EtaPoly.zero(), EtaPoly.zero() / p,
+                 EtaPoly.zero().in_eta(2)):
+        assert_canonical(zero)
+        assert zero.coefficients == () and zero.degree == -1 and zero == EtaPoly.zero()
+    # the top terms cancel, leaving no trailing zero
+    top_cancelled = EtaPoly((1, 0, 1)) - EtaPoly.monomial(2)
+    assert_canonical(top_cancelled)
+    assert top_cancelled.coefficients == (1,)
+
+
 # -- stage entries --------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Exports and the README's library layout name only what the package defines."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -49,3 +50,23 @@ def test_readme_layout_names_exist(module, names):
     imported = importlib.import_module(module)
     assert names
     assert [name for name in names if not hasattr(imported, name)] == []
+
+
+def export_modules():
+    """Each name ``gaussdet/__init__.py`` imports, mapped to the module it imports it from."""
+    tree = ast.parse(Path(gaussdet.__file__).read_text(encoding="utf-8"))
+    return {
+        alias.name: f"gaussdet.{node.module}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_every_export_is_in_its_modules_layout_row():
+    rows, modules = dict(LAYOUT), export_modules()
+    unlisted = [
+        name for name in gaussdet.__all__
+        if name != "__version__" and name not in rows.get(modules.get(name), ())
+    ]
+    assert unlisted == []

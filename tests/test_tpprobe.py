@@ -13,15 +13,10 @@ from gaussdet.closedform import (
     superfactorial,
     verify_closed_form,
 )
-from gaussdet.exact import poly_h
+from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import SymMatrix, brute_force_det, neville_eliminate
-from gaussdet.tpprobe import (
-    MinorIndex,
-    _det_bareiss,
-    _laplace_minors,
-    all_minors_positive,
-    minor_value,
-)
+from gaussdet.tpprobe import MinorIndex, _laplace_minors, all_minors_positive
+from matrix_elimination import bareiss_det, minor_value
 
 HALF = Fraction(1, 2)
 # the tp-check sweep's eta values, plus two where p or q is large
@@ -34,7 +29,7 @@ ORACLE_ETAS = [Fraction(e) for e in ("1/10", "1/4", "1/2", "3/4", "9/10", "1/99"
 def test_minor_index_accepts_valid_sets():
     idx = MinorIndex((1, 3), (2, 4))
     assert (idx.rows, idx.cols) == ((1, 3), (2, 4))
-    idx.validate_for(4)
+    assert minor_value(4, HALF, idx) == Fraction(1, 4) - Fraction(1, 1024)
 
 
 @pytest.mark.parametrize(
@@ -58,11 +53,10 @@ def test_minor_index_rejects_bad_sets(rows, cols):
 
 
 def test_minor_index_range_check():
-    idx = MinorIndex((1, 4), (2, 3))
-    with pytest.raises(ValueError):
-        idx.validate_for(3)
-    with pytest.raises(ValueError):
-        minor_value(3, HALF, idx)
+    with pytest.raises(ValueError, match="exceed matrix size 3"):
+        minor_value(3, HALF, MinorIndex((1, 4), (2, 3)))
+    with pytest.raises(ValueError, match="exceed matrix size 3"):
+        minor_value(3, HALF, MinorIndex((1, 2), (2, 4)))
 
 
 # -- single minors ----------------------------------------------------------------
@@ -96,8 +90,9 @@ def test_minor_value_validates_eta_and_method():
 
 
 def leibniz_minor(eta, idx):
-    """The minor by the Leibniz sum of neville's oracle, on entries eta^((i-j)^2) built here."""
-    return brute_force_det(SymMatrix([[eta ** ((i - j) ** 2) for j in idx.cols] for i in idx.rows]))
+    """The minor by neville's Leibniz walk over entries eta^((i-j)^2) built here, evaluated at eta."""
+    matrix = SymMatrix([[EtaPoly.monomial((i - j) ** 2) for j in idx.cols] for i in idx.rows])
+    return brute_force_det(matrix)(eta)
 
 
 @pytest.mark.parametrize("eta", [Fraction(1, 10), HALF, Fraction(9, 10)])
@@ -120,8 +115,8 @@ def test_leibniz_and_bareiss_agree_on_larger_spot_checks():
 
 def test_bareiss_handles_a_zero_leading_pivot():
     # not a covariance matrix; exercises the row-swap path through minor internals
-    assert _det_bareiss([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
-    assert _det_bareiss([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]) == 0
+    assert bareiss_det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    assert bareiss_det([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]) == 0
 
 
 # -- exhaustive sweeps ---------------------------------------------------------------
@@ -163,8 +158,8 @@ def test_transpose_symmetry():
     for k in range(1, n + 1):
         for rows in itertools.combinations(range(1, n + 1), k):
             for cols in itertools.combinations(range(1, n + 1), k):
-                assert minor_value(n, eta, MinorIndex(rows, cols)) == minor_value(
-                    n, eta, MinorIndex(cols, rows)
+                assert minor_value(n, eta, MinorIndex(rows, cols)) == leibniz_minor(
+                    eta, MinorIndex(cols, rows)
                 )
 
 
@@ -191,7 +186,6 @@ def test_all_minors_positive_validation():
 
 BOOL_N_GUARDS = {
     "all_minors_positive": lambda n: all_minors_positive(n, HALF),
-    "minor_value": lambda n: minor_value(n, HALF, MinorIndex((1,), (1,))),
     "superfactorial": superfactorial,
     "factored_determinant": factored_determinant,
     "series_determinant-n": lambda n: series_determinant(n, 3),
@@ -236,7 +230,7 @@ def test_laplace_kernel_matches_bareiss_on_signed_matrices(matrix):
     assert len(minors) == sum(comb(n, k) ** 2 for k in range(1, n + 1))
     for (rows, cols), det in minors.items():
         sub = [[Fraction(matrix[i][j]) for j in cols] for i in rows]
-        assert det == _det_bareiss(sub), (rows, cols)
+        assert det == bareiss_det(sub), (rows, cols)
     assert any(det < 0 for det in minors.values())
     assert any(det == 0 for det in minors.values())
 
