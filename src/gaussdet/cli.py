@@ -49,12 +49,12 @@ EXIT_USAGE = 2
 # Each n-indexed check: the first and last n of its --sweep (GAUSSDET_MAX_N lowers
 # the last), its largest --n (None where the check refuses a large n itself), and
 # the keys of its entry that verify-all reports.  The symbolic limits keep each
-# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 4.5 s, and
-# leading-term's series product grows as n^6; GAUSSDET_MAX_N may only lower them.
+# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 4.5 s and
+# leading-term about 1.5 s; GAUSSDET_MAX_N may only lower them.
 CHECKS = {
     "verify-u": (1, 10, 30, ("entries_checked", "first_mismatch")),
     "verify-det": (1, 10, 30, ("factored", "oracle_checked")),
-    "leading-term": (2, 8, 20, ("closed_form", "error")),
+    "leading-term": (2, 8, 30, ("closed_form", "error")),
     "tp-check": (1, 7, None, ("minors_checked", "min_minor")),
 }
 TP_SWEEP_ETAS = ("1/10", "1/4", "1/2", "3/4", "9/10")
@@ -246,9 +246,9 @@ def _check_oracle_bound(oracle_bound: int, largest_n: int) -> None:
 
 
 def _leading_entry(n: int) -> tuple[bool, dict]:
-    """The closed-form leading term, which closedform confirms by the series product.
+    """The closed-form leading term, which closedform confirms by the series.
 
-    The series is truncated at t^(n(n-1)/2), the highest power it is compared at.
+    The series is read up to t^(n(n-1)/2), the highest power it is compared at.
     """
     try:
         term = leading_term(n)

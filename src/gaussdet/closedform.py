@@ -4,14 +4,13 @@ Every stage entry of the eliminated covariance matrix has a closed form: a
 power of eta times a product of h-factors times a nested sum of eta powers
 whose exponents are exactly a simplicial multiset.  Multiplying the
 stabilized diagonals gives the determinant as a pure product of h-factors,
-h_q appearing with multiplicity n - q; substituting the exponential series
-for each factor yields the leading term in the point spacing, with a
-superfactorial coefficient.
+h_q appearing with multiplicity n - q; reading each term c_k * eta^k of its
+expansion as c_k * exp(-k*t) yields the leading term in the point spacing,
+with a superfactorial coefficient.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,39 +161,31 @@ class LeadingTerm:
 def series_determinant(n: int, order: int) -> tuple[Fraction, ...]:
     """Determinant as a series in t = theta * delta^2, coefficients up to t^order.
 
-    Each factor h_q becomes the series of 1 - exp(-2*q*t); the factor
-    multiplicities are those of the h-factor form.  Index m of the tuple is
-    the coefficient of t^m.
+    With eta = exp(-t), each term c_k * eta^k of the expanded h-factor
+    polynomial is the series c_k * exp(-k*t), whose coefficient of t^m is
+    c_k * (-k)^m / m!.  Index m of the tuple is the coefficient of t^m.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if type(order) is not int or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    # Exponential generating functions: index m holds m! times the coefficient
-    # of t^m, an integer for every factor (-(-2q)^m for 1 - exp(-2qt), m >= 1),
-    # and a product of two such series is the binomial convolution of their
-    # coefficients.
-    factorials = [math.factorial(m) for m in range(order + 1)]
-    binomials = [[math.comb(m, k) for k in range(m + 1)] for m in range(order + 1)]
-    product = [1] + [0] * order
-    for q in range(1, n):
-        factor = [0] + [-((-2 * q) ** m) for m in range(1, order + 1)]
-        for _ in range(n - q):
-            product = [
-                sum(row[k] * product[k] * factor[m - k] for k in range(m + 1) if product[k])
-                for m, row in enumerate(binomials)
-            ]
-    return tuple(Fraction(c, f) for c, f in zip(product, factorials))
+    # c_k * (-k)^m, kept per nonzero term: one multiply per term and order
+    exponents, weighted = zip(*factored_determinant(n).expand().terms())
+    series = [Fraction(sum(weighted))]
+    factorial = 1
+    for m in range(1, order + 1):
+        weighted = [w * -k for k, w in zip(exponents, weighted)]
+        factorial *= m
+        series.append(Fraction(sum(weighted), factorial))
+    return tuple(series)
 
 
 def leading_term(n: int) -> LeadingTerm:
     """Closed-form leading term, cross-checked against the series expansion.
 
-    The series product must have zero coefficients below t^(n(n-1)/2) and
-    exactly SF(n-1) * 2^(n(n-1)/2) there; any discrepancy raises
-    ArithmeticError (it would falsify the closed form).  The product is
-    truncated at t^(n(n-1)/2): truncated multiplication is exact up to its
-    order, so a longer series would compare the same coefficients.
+    The series must have zero coefficients below t^(n(n-1)/2) and exactly
+    SF(n-1) * 2^(n(n-1)/2) there; any discrepancy raises ArithmeticError (it
+    would falsify the closed form).
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"n must be an integer >= 2 (n = 1 has no spacing dependence), got {n!r}")

@@ -499,7 +499,7 @@ def test_symbolic_n_above_the_limit_is_refused_before_work(run, monkeypatch, com
 
 def test_symbolic_limits():
     limits = {command: cli.CHECKS[command][2] for command in ("verify-u", "verify-det", "leading-term")}
-    assert limits == {"verify-u": 30, "verify-det": 30, "leading-term": 20}
+    assert limits == {"verify-u": 30, "verify-det": 30, "leading-term": 30}
 
 
 @pytest.mark.parametrize("command", ["verify-u", "verify-det", "leading-term"])

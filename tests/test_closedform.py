@@ -262,6 +262,10 @@ def test_leading_term_rendering():
     assert str(leading_term(2)) == "2 * theta^1 * delta^2"
 
 
+def test_leading_term_at_the_cli_limit():
+    assert leading_term(30).coefficient == superfactorial(29) * 2**435
+
+
 def test_leading_term_rejects_small_n_and_order():
     with pytest.raises(ValueError):
         leading_term(1)
@@ -282,17 +286,23 @@ def test_series_determinant_n_one_is_one():
     assert all(isinstance(c, Fraction) for c in series_determinant(3, 4))
 
 
-@pytest.mark.parametrize("n, order", [(2, 1), (3, 5), (4, 9), (5, 4)])
+@pytest.mark.parametrize(
+    "n, order",
+    # four small cases, the leading-term sweep at N + 2 (n = 3 is already there) and
+    # n = 12 at N, with N = n(n-1)/2
+    [(2, 1), (3, 5), (4, 9), (5, 4)]
+    + [(n, n * (n - 1) // 2 + 2) for n in (2, 4, 5, 6, 7, 8)]
+    + [(12, 66)],
+)
 def test_series_determinant_is_the_truncated_polynomial_product(n, order):
-    # the same product by Fraction convolution, cut off only at the end
-    full = [Fraction(1)]
+    # the same series as a Fraction product of the factor series, each product cut
+    # at t^order, which keeps every coefficient up to t^order exact
+    product = (Fraction(1),) + (Fraction(0),) * order
     for q in range(1, n):
         factor = series_one_minus_exp(q, order)
         for _ in range(n - q):
-            product = [Fraction(0)] * (len(full) + order)
-            for i, x in enumerate(full):
-                for k, y in enumerate(factor):
-                    product[i + k] += x * y
-            full = product
-    expected = tuple(full[:order + 1])
-    assert series_determinant(n, order) == expected
+            product = tuple(
+                sum((product[k] * factor[m - k] for k in range(m + 1)), Fraction(0))
+                for m in range(order + 1)
+            )
+    assert series_determinant(n, order) == product
