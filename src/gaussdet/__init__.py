@@ -18,7 +18,6 @@ from .multisets import (
     verify_identity,
 )
 from .neville import (
-    EliminationTrace,
     SymMatrix,
     brute_force_det,
     diagonal_product,
@@ -56,7 +55,6 @@ __all__ = [
     "identity_param_names",
     "lift_duality",
     "verify_identity",
-    "EliminationTrace",
     "SymMatrix",
     "brute_force_det",
     "diagonal_product",

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .exact import EtaPoly, poly_h
 from .multisets import SimplexSpec, enumerate_simplex
-from .neville import EliminationTrace, neville_eliminate
+from .neville import Block, neville_eliminate
 
 
 def superfactorial(n: int) -> int:
@@ -68,7 +69,7 @@ def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
         raise IndexError(f"stage {s!r} outside 1..{n}")
     if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"entry ({i!r}, {j!r}) outside 1..{n}")
-    return _u_value(s, i, j, _h_prefixes(j))
+    return _u_value(s, i, j, _h_prefixes(j)).in_eta((i - j) ** 2)
 
 
 def _h_prefixes(j: int) -> list[EtaPoly]:
@@ -83,6 +84,7 @@ def _h_prefixes(j: int) -> list[EtaPoly]:
 
 
 def _u_value(s: int, i: int, j: int, h_prefixes: list[EtaPoly]) -> EtaPoly:
+    # Q(s, i, j) in z, where U(s, i, j) = eta^((i-j)^2) * Q(s, i, j)(eta^2);
     # h_prefixes is _h_prefixes(j)
     if i < s:
         # row i froze at stage i
@@ -90,13 +92,13 @@ def _u_value(s: int, i: int, j: int, h_prefixes: list[EtaPoly]) -> EtaPoly:
     if j <= s - 1:
         return EtaPoly.zero()
     if s == 1:
-        return EtaPoly.monomial((i - j) ** 2)
+        return EtaPoly.one()
     exponents = enumerate_simplex(SimplexSpec(s - 1, 0, j - s + 1, 1, i - s + 1)).items()
     # the sum of z^e over the multiset, as one dense coefficient list
     powers = [0] * (exponents[-1][0] + 1)
     for e, mult in exponents:
         powers[e] = mult
-    return (h_prefixes[s - 1] * EtaPoly(powers)).in_eta((i - j) ** 2)
+    return h_prefixes[s - 1] * EtaPoly(powers)
 
 
 @dataclass(frozen=True)
@@ -112,11 +114,15 @@ class FactoredDeterminant:
     factors: tuple[tuple[int, int], ...]
 
     def expand(self) -> EtaPoly:
-        """Multiply the factors out into the determinant polynomial."""
+        """Multiply the factors out into the determinant polynomial.
+
+        The product is taken in z = eta^2, where h_q is 1 - z^q, and read in
+        eta once.
+        """
         result = EtaPoly.one()
         for q, mult in self.factors:
-            result = result * poly_h(q) ** mult
-        return result
+            result = result * (1 - EtaPoly.monomial(q)) ** mult
+        return result.in_eta()
 
     def evaluate(self, eta_value: Fraction) -> Fraction:
         """The product of the factors at a rational eta (an int or a Fraction)."""
@@ -202,7 +208,7 @@ def leading_term(n: int) -> LeadingTerm:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Comparison of an elimination trace against the closed forms."""
+    """Comparison of the elimination stages against the closed forms."""
 
     n: int
     entries_checked: int
@@ -212,32 +218,46 @@ class AgreementReport:
     actual: str | None = None
 
 
-def verify_closed_form(n: int, trace: EliminationTrace | None = None) -> AgreementReport:
+def verify_closed_form(n: int, blocks: Iterable[Block] | None = None) -> AgreementReport:
     """Compare every entry of every elimination stage against its closed form.
 
-    Entries are checked in (stage, row, column) lexicographic order and the
-    first mismatch, if any, is reported with both renderings.  A symbolic
-    trace may be passed in to avoid re-eliminating.
+    The stages are read off the blocks of ``neville_eliminate``, in z: an
+    active entry from its stage's block (mirrored below the diagonal), a
+    frozen row from the pivot row it had when it froze, and an entry left of
+    the stage as zero.  Entries are checked in (stage, row, column)
+    lexicographic order and the first mismatch, if any, is reported with both
+    sides rendered in eta.  The blocks of an elimination of at least n points
+    may be passed in to avoid re-eliminating; the first n are read, within
+    rows and columns <= n.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if trace is None:
-        trace = neville_eliminate(n)
-    if trace.n != n:
-        raise ValueError(f"trace has {trace.n} stages, expected {n}")
+    if blocks is None:
+        blocks = neville_eliminate(n)
     h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
+    zero = EtaPoly.zero()
+    pivot_rows: list[tuple[EtaPoly, ...]] = []
     checked = 0
-    for s in range(1, n + 1):
-        stage = trace.stage(s)
+    for s, block in zip(range(1, n + 1), blocks):
+        if len(block) <= n - s:
+            raise ValueError(f"stage {s} block has {len(block)} rows, expected {n - s + 1}")
+        pivot_rows.append(block[0])
         for i in range(1, n + 1):
             for j in range(1, n + 1):
+                if i < s:
+                    actual = pivot_rows[i - 1][j - i] if j >= i else zero
+                elif j < s:
+                    actual = zero
+                else:
+                    actual = block[i - s][j - i] if j >= i else block[j - s][i - j]
                 expected = _u_value(s, i, j, h_prefixes[j - 1])
-                actual = stage.entry(i, j)
                 checked += 1
                 if actual != expected:
-                    return AgreementReport(
-                        n, checked, False, (s, i, j), str(expected), str(actual)
-                    )
+                    shift = (i - j) ** 2
+                    return AgreementReport(n, checked, False, (s, i, j),
+                                           str(expected.in_eta(shift)), str(actual.in_eta(shift)))
+    if checked != n ** 3:
+        raise ValueError(f"blocks hold {len(pivot_rows)} stages, expected {n}")
     return AgreementReport(n, checked, True)
 
 

@@ -200,17 +200,6 @@ class EtaPoly:
         coeffs[shift::2] = self._coeffs
         return EtaPoly._of(coeffs)
 
-    # An elimination stage entry as numerator over the constant one: the
-    # interface that perfbench/tracer.py::_entry_size reads, their only
-    # reader.  Both go once _entry_size reads an EtaPoly itself.
-    @property
-    def num(self) -> "EtaPoly":
-        return self
-
-    @property
-    def den(self) -> "EtaPoly":
-        return EtaPoly((1,))
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

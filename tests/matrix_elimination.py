@@ -1,11 +1,14 @@
 """The tests' oracles: generic elimination, the Leibniz sum and Bareiss minors.
 
-``gaussdet.neville_eliminate`` eliminates only the covariance, in z = eta^2
-on the symmetric active block.  ``eliminate_matrix`` is the elimination it
-replaced, kept as it was: it works on the whole n x n block of the rows of
-any square matrix over an exact ring with exact ``/`` (``EtaPoly`` or
-``Fraction``), so it checks the symbolic kernel entry by entry and, on the
-covariance at a rational eta, the symbolic trace evaluated there.
+``gaussdet.neville_eliminate`` eliminates only the covariance, in z = eta^2,
+and yields the upper half of each stage's active block.
+``eliminate_matrix`` is the elimination it replaced, kept as it was: it
+records every stage of the whole n x n matrix, for the rows of any square
+matrix over an exact ring with exact ``/`` (``EtaPoly`` or ``Fraction``), so
+it checks the symbolic kernel entry by entry (each block entry read in eta,
+and the frozen rows and zeros around the block) and, on the covariance at a
+rational eta, the symbolic stages evaluated there.  ``build_covariance``,
+the kernel's input as a matrix, is ``gaussdet.neville``'s.
 ``leibniz_det`` is the plain Leibniz sum that
 ``gaussdet.brute_force_det``'s prefix-sharing walk replaced, kept as the
 reference for that walk.  ``bareiss_det`` and ``minor_value`` evaluate one
@@ -18,8 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from gaussdet.exact import EtaPoly
-from gaussdet.neville import SymMatrix
+from gaussdet.neville import build_covariance  # noqa: F401  (re-exported to the tests)
 from gaussdet.tpprobe import MinorIndex, _validate_eta
 
 
@@ -29,19 +31,6 @@ class ZeroPivotError(ArithmeticError):
     def __init__(self, stage: int) -> None:
         super().__init__(f"zero pivot at stage {stage}")
         self.stage = stage
-
-
-def build_covariance(n: int) -> SymMatrix:
-    """The symbolic n x n matrix with entry (i, j) = eta^((i-j)^2).
-
-    This is V / sigma_z^2; the full determinant is sigma_z^(2n) times its
-    determinant.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return SymMatrix(
-        [[EtaPoly.monomial((i - j) ** 2) for j in range(n)] for i in range(n)]
-    )
 
 
 def eliminate_matrix(rows) -> tuple:

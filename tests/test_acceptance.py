@@ -29,7 +29,7 @@ from gaussdet.multisets import (
     lift_duality,
     verify_identity,
 )
-from gaussdet.neville import brute_force_det, diagonal_product, neville_eliminate
+from gaussdet.neville import brute_force_det, build_covariance, diagonal_product, neville_eliminate
 from gaussdet.tpprobe import all_minors_positive
 
 TP_ETAS = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
@@ -37,7 +37,7 @@ TP_ETAS = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Frac
 
 @lru_cache(maxsize=None)
 def symbolic_trace(n):
-    return neville_eliminate(n)
+    return tuple(neville_eliminate(n))
 
 
 def report(name, ok, extra=""):
@@ -49,7 +49,7 @@ def test_criterion_1_closed_form_u_matches_every_stage():
     started = time.perf_counter()
     ok = True
     for n in range(1, 11):
-        result = verify_closed_form(n, trace=symbolic_trace(n))
+        result = verify_closed_form(n, blocks=symbolic_trace(n))
         ok = ok and result.agree and result.entries_checked == n ** 3
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 30.0
@@ -62,7 +62,7 @@ def test_criterion_2_determinant_factorization_three_way():
         expansion = factored_determinant(n).expand()
         ok = ok and diagonal_product(symbolic_trace(n)) == expansion
         if n <= 6:
-            ok = ok and brute_force_det(symbolic_trace(n).stage(1)) == expansion
+            ok = ok and brute_force_det(build_covariance(n)) == expansion
     ok = ok and str(factored_determinant(3).expand()) == "1 - 2*eta^2 + 2*eta^6 - eta^8"
     report("2 determinant factorization (3-way n<=6, 2-way n<=10)", ok)
 

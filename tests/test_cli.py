@@ -728,8 +728,8 @@ def test_failed_leading_term_is_one_failed_check_of_verify_all(run, monkeypatch)
 def _mismatch_at_n4(real):
     from gaussdet.closedform import AgreementReport
 
-    def broken(n, trace=None):
-        report = real(n, trace=trace)
+    def broken(n, blocks=None):
+        report = real(n, blocks)
         if n != 4:
             return report
         return AgreementReport(4, report.entries_checked, False, (2, 3, 4), "eta^5", "eta^7")

@@ -18,13 +18,11 @@ from gaussdet.closedform import (
 )
 from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
-    EliminationTrace,
-    SymMatrix,
     brute_force_det,
+    build_covariance,
     diagonal_product,
     neville_eliminate,
 )
-from matrix_elimination import eliminate_matrix
 from test_exact import series_one_minus_exp
 
 
@@ -154,21 +152,27 @@ def test_verify_closed_form_agrees(n):
 
 
 def test_verify_closed_form_accepts_precomputed_trace():
-    trace = neville_eliminate(4)
-    assert verify_closed_form(4, trace=trace).agree
-    with pytest.raises(ValueError):
-        verify_closed_form(5, trace=trace)
+    assert verify_closed_form(4, blocks=neville_eliminate(4)).agree
+    # a larger elimination's first n blocks, read within rows and columns <= n
+    report = verify_closed_form(4, blocks=tuple(neville_eliminate(6)))
+    assert report.agree and report.entries_checked == 4 ** 3
+    # too few points, or too few stages
+    with pytest.raises(ValueError, match="stage 1 block has 4 rows, expected 5"):
+        verify_closed_form(5, blocks=neville_eliminate(4))
+    with pytest.raises(ValueError, match="blocks hold 2 stages, expected 3"):
+        verify_closed_form(3, blocks=tuple(neville_eliminate(3))[:2])
 
 
 def test_verify_closed_form_reports_first_mismatch():
-    # a trace whose input has eta^2 for eta at the first off-diagonal entry
-    one, eta, eta_sq = (EtaPoly.monomial(k) for k in range(3))
-    wrong = EliminationTrace(tuple(map(SymMatrix, eliminate_matrix(((one, eta_sq), (eta, one))))))
-    report = verify_closed_form(2, trace=wrong)
+    # blocks whose input has eta^3 for eta at the first off-diagonal entry:
+    # Q(1, 1, 2) is z, not 1
+    one, z = EtaPoly.one(), EtaPoly.monomial(1)
+    wrong = (((one, z), (one,)), ((EtaPoly((1, 0, -1)),),))
+    report = verify_closed_form(2, blocks=wrong)
     assert not report.agree
     assert report.first_mismatch == (1, 1, 2)
     assert report.expected == "eta"
-    assert report.actual == "eta^2"
+    assert report.actual == "eta^3"
 
 
 # -- factored determinant ----------------------------------------------------------------
@@ -210,10 +214,9 @@ def test_three_equivalent_factor_products(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_factored_equals_leibniz_and_diagonal(n):
-    trace = neville_eliminate(n)
     expansion = factored_determinant(n).expand()
-    assert brute_force_det(trace.stage(1)) == expansion
-    assert diagonal_product(trace) == expansion
+    assert brute_force_det(build_covariance(n)) == expansion
+    assert diagonal_product(neville_eliminate(n)) == expansion
 
 
 @pytest.mark.parametrize("n", range(2, 11))

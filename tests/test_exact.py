@@ -369,10 +369,10 @@ def test_kernel_results_cancel_to_the_zero_polynomial():
 
 
 def test_ratfunc_reduces_to_polynomial():
-    # an entry read as numerator over denominator, as perfbench/tracer.py::_entry_size does
+    # an exact quotient is the polynomial itself
     rf = (ETA - EtaPoly.monomial(5)) / H1
-    assert rf.num == EtaPoly((0, 1, 0, 1))
-    assert rf.den == EtaPoly.one()
+    assert type(rf) is EtaPoly
+    assert rf == EtaPoly((0, 1, 0, 1))
 
 
 def test_ratfunc_zero_denominator_raises():
@@ -385,7 +385,7 @@ def test_ratfunc_zero_denominator_raises():
 
 def test_ratfunc_zero_numerator():
     rf = EtaPoly.zero() / H1
-    assert rf.num == EtaPoly.zero() and rf.den == EtaPoly.one()
+    assert type(rf) is EtaPoly and rf == EtaPoly.zero()
 
 
 def test_ratfunc_equal_num_den():

@@ -1,8 +1,7 @@
-"""Covariance construction, elimination traces, and determinant oracles."""
+"""Covariance construction, the streamed elimination blocks, and determinant oracles."""
 
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +41,26 @@ def mono(k):
     return EtaPoly.monomial(k)
 
 
+def eta_stages(blocks, n):
+    """Every stage as n rows in eta, laid out from the blocks as the whole-matrix elimination has it.
+
+    Row i of stage s is its pivot row of stage i for i < s, zero left of
+    column s, and the block's entry, mirrored below the diagonal, elsewhere.
+    """
+    zero = EtaPoly.zero()
+    frozen, stages = [], []
+    for s, block in enumerate(blocks):
+        active = [[zero] * n for _ in range(n - s)]
+        for r, row in enumerate(block):
+            for c, q in enumerate(row):
+                # entry (s + r, s + r + c), 0-based, and its mirror
+                active[r][s + r + c] = active[r + c][s + r] = q.in_eta(c * c)
+        active = [tuple(row) for row in active]
+        stages.append((*frozen, *active))
+        frozen.append(active[0])
+    return tuple(stages)
+
+
 # -- parameters and construction --------------------------------------------------
 
 
@@ -56,7 +75,7 @@ def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         build_covariance(**kwargs)
     with pytest.raises(ValueError):
-        neville_eliminate(**kwargs)
+        next(neville_eliminate(**kwargs))
 
 
 def test_build_two_points():
@@ -66,9 +85,9 @@ def test_build_two_points():
 
 def test_build_three_points():
     v = symbolic(3)
-    assert v.entry(1, 3) == mono(4)
-    assert v.entry(2, 3) == mono(1)
-    assert v.entry(2, 2) == 1
+    assert v.rows[0][2] == mono(4)
+    assert v.rows[1][2] == mono(1)
+    assert v.rows[1][1] == 1
     assert v.rows == tuple(zip(*v.rows))
 
 
@@ -79,7 +98,7 @@ def test_build_three_points_numeric():
         (HALF, Fraction(1), HALF),
         (Fraction(1, 16), HALF, Fraction(1)),
     )
-    assert v == at(neville_eliminate(3).stage(1).rows, HALF)
+    assert v == at(symbolic(3).rows, HALF)
 
 
 def test_matrix_must_be_square():
@@ -100,67 +119,47 @@ def test_matrix_entries_must_be_eta_polynomials():
             SymMatrix([[mono(0), mono(1)], [mono(1), bad]])
 
 
-def test_entry_indexing_is_one_based():
-    v = symbolic(2)
-    assert v.entry(1, 2) == mono(1)
-    with pytest.raises(IndexError):
-        v.entry(0, 1)
-    with pytest.raises(IndexError):
-        v.entry(1, 3)
-
-
 # -- elimination --------------------------------------------------------------------
 
 
 def test_two_point_elimination():
-    trace = neville_eliminate(2)
-    assert trace.n == 2
-    assert trace.stage(2).entry(2, 2) == poly_h(1)
-    assert trace.stage(2).entry(2, 1) == 0
+    blocks = tuple(neville_eliminate(2))
+    # the stage-2 pivot is Q = 1 - z, so U(2, 2, 2) = h_1
+    assert blocks[1] == ((EtaPoly((1, -1)),),)
+    assert blocks[1][0][0].in_eta() == poly_h(1)
     # at eta = 1/2 the pivot 1 - eta^2 is 1 - 1/2 * 1/2 / 1 = 3/4, exactly
     pivot = eliminate_matrix(numeric(2, HALF))[1][1][1]
-    assert type(pivot) is Fraction and pivot == Fraction(3, 4) == trace.diagonal(2)(HALF)
+    assert type(pivot) is Fraction and pivot == Fraction(3, 4) == blocks[1][0][0](HALF ** 2)
 
 
 def test_three_point_stage_two_off_diagonal():
-    trace = neville_eliminate(3)
-    # hand application of the update: eta - eta^4 * eta / 1
-    assert trace.stage(2).entry(3, 2) == EtaPoly((0, 1, 0, 0, 0, -1))
+    stage_two = tuple(neville_eliminate(3))[1]
+    # entry (2, 3), the mirror of (3, 2); hand application of the update:
+    # eta - eta^4 * eta / 1
+    assert stage_two[0][1].in_eta(1) == EtaPoly((0, 1, 0, 0, 0, -1))
 
 
 def test_three_point_final_pivot_factors():
-    trace = neville_eliminate(3)
-    assert trace.stage(3).entry(3, 3) == poly_h(1) * poly_h(2)
+    stage_three = tuple(neville_eliminate(3))[2]
+    assert stage_three == ((EtaPoly((1, -1)) * EtaPoly((1, 0, -1)),),)
+    assert stage_three[0][0].in_eta() == poly_h(1) * poly_h(2)
 
 
 def test_first_stage_is_the_input():
     v = symbolic(4)
-    assert neville_eliminate(4).stage(1) == v
+    assert next(neville_eliminate(4)) == tuple((EtaPoly.one(),) * (4 - r) for r in range(4))
+    assert eta_stages(neville_eliminate(4), 4)[0] == v.rows
     assert eliminate_matrix(v.rows)[0] == v.rows
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_trace_shape(n):
-    trace = neville_eliminate(n)
-    assert trace.n == n
-    for s in range(1, n + 1):
-        stage = trace.stage(s)
-        for i in range(s, n + 1):
-            for j in range(1, s):
-                assert stage.entry(i, j) == 0
-        if s > 1:
-            prev = trace.stage(s - 1)
-            for i in range(1, s):
-                for j in range(1, n + 1):
-                    assert stage.entry(i, j) == prev.entry(i, j)
-
-
-@pytest.mark.parametrize("method", ["stage", "diagonal", "leading"])
-@pytest.mark.parametrize("index", [True, 1.0, Fraction(1)])
-def test_trace_indices_must_be_ints(method, index):
-    # True would pass 1 <= s <= n and read stage 1
-    with pytest.raises(IndexError, match=re.escape(repr(index))):
-        getattr(neville_eliminate(3), method)(index)
+    # n blocks; stage s's has the rows s..n, each from its diagonal to column n
+    blocks = tuple(neville_eliminate(n))
+    assert [[len(row) for row in block] for block in blocks] == [
+        [n - s - r for r in range(n - s)] for s in range(n)
+    ]
+    assert all(type(block) is tuple and all(type(row) is tuple for row in block) for block in blocks)
 
 
 def test_zero_pivot_is_reported_with_its_stage():
@@ -206,18 +205,13 @@ def test_oracle_agreement_symbolic(n):
 # -- the Leibniz walk against the term-by-term Leibniz sum ---------------------------
 
 
-def _active_block(stage, s):
-    return SymMatrix._of(tuple(row[s - 1:] for row in stage.rows[s - 1:]))
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_leibniz_walk_matches_the_plain_sum_on_every_stage(n):
     # the stage entries have many terms and negative coefficients, and a whole
     # stage also has zero entries below its frozen rows
-    trace = neville_eliminate(n)
-    for s in range(1, n + 1):
-        stage = trace.stage(s)
-        for matrix in (stage, _active_block(stage, s)):
+    for s, stage in enumerate(eta_stages(neville_eliminate(n), n), 1):
+        active = SymMatrix(row[s - 1:] for row in stage[s - 1:])
+        for matrix in (SymMatrix(stage), active):
             det = brute_force_det(matrix)
             assert type(det) is EtaPoly
             assert det == leibniz_det(matrix.rows)
@@ -263,25 +257,20 @@ def test_oracle_agreement_numeric(n, eta):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_symbolic_and_numeric_elimination_commute(n):
     eta = HALF
-    sym = neville_eliminate(n)
+    sym = eta_stages(neville_eliminate(n), n)
     num = eliminate_matrix(numeric(n, eta))
-    for s in range(1, n + 1):
-        assert at(sym.stage(s).rows, eta) == num[s - 1]
+    assert tuple(at(stage, eta) for stage in sym) == num
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_trace_entry_reduces_to_denominator_one(n):
-    # every entry is a plain EtaPoly, with the interface that
-    # perfbench/tracer.py::_entry_size reads: num and den polynomials, den one,
-    # int coefficients
-    trace = neville_eliminate(n)
-    for stage in trace.stages:
-        for row in stage.rows:
+    # every block entry is a plain EtaPoly with int coefficients: every
+    # quotient divided exactly
+    for block in neville_eliminate(n):
+        for row in block:
             for entry in row:
                 assert type(entry) is EtaPoly
-                assert isinstance(entry.num, EtaPoly) and isinstance(entry.den, EtaPoly)
-                assert entry.den == 1
-                assert all(type(c) is int for c in entry.num.coefficients + entry.den.coefficients)
+                assert all(type(c) is int for c in entry.coefficients)
 
 
 def test_inexact_quotient_names_stage_row_and_column():
@@ -295,9 +284,8 @@ def test_inexact_quotient_names_stage_row_and_column():
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("eta", [Fraction(1, 10), HALF, Fraction(9, 10)])
 def test_stabilized_pivots_are_positive(n, eta):
-    trace = neville_eliminate(n)
-    for s in range(1, n + 1):
-        assert trace.diagonal(s)(eta) > 0
+    for block in neville_eliminate(n):
+        assert block[0][0](eta ** 2) > 0
 
 
 # -- the covariance kernel in z = eta^2 ------------------------------------------------
@@ -305,37 +293,34 @@ def test_stabilized_pivots_are_positive(n, eta):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_every_stage_entry_equals_the_matrix_elimination(n):
-    trace = neville_eliminate(n)
+    # each block entry, read in eta as eta^((i-j)^2) * Q(z), is the whole
+    # matrix's stage entry (i, j) and (j, i); the rows above the stage are
+    # the pivot rows they froze with, and the rest is zero
     oracle = eliminate_matrix(symbolic(n).rows)
-    assert trace.n == len(oracle) == n
-    for s in range(1, n + 1):
-        assert trace.stage(s).rows == oracle[s - 1]
+    assert len(oracle) == n
+    assert eta_stages(neville_eliminate(n), n) == oracle
 
 
-def test_trace_shares_mirror_entries_and_frozen_rows():
+def test_a_yielded_block_is_unchanged_by_later_stages():
     n = 7
-    trace = neville_eliminate(n)
-    for s in range(1, n + 1):
-        rows = trace.stage(s).rows
-        # the active block is computed for j >= i only: (j, i) is (i, j)
-        for i in range(s - 1, n):
-            for j in range(i, n):
-                assert rows[j][i] is rows[i][j]
-        # row r froze at stage r + 1 (0-based r) and is that one tuple afterwards
-        for r in range(s - 1):
-            assert rows[r] is trace.stage(r + 1).rows[r]
+    blocks = neville_eliminate(n)
+    first, second = next(blocks), next(blocks)
+    seen = [[[q.coefficients for q in row] for row in block] for block in (first, second)]
+    assert len(tuple(blocks)) == n - 2
+    assert first == tuple((EtaPoly.one(),) * (n - r) for r in range(n))
+    assert [[[q.coefficients for q in row] for row in block] for block in (first, second)] == seen
 
 
 def test_leading_trace_is_the_smaller_elimination():
-    trace = neville_eliminate(12)
+    # the first k blocks of the 12-point elimination, cut to rows and
+    # columns <= k, are the k-point elimination
+    blocks = tuple(neville_eliminate(12))
     for k in range(1, 13):
-        leading = trace.leading(k)
-        assert leading.n == k
-        assert leading.stages == neville_eliminate(k).stages
-    assert trace.leading(12) is trace
-    for k in (0, 13):
-        with pytest.raises(IndexError):
-            trace.leading(k)
+        leading = tuple(
+            tuple(row[:k - s - r] for r, row in enumerate(block[:k - s]))
+            for s, block in enumerate(blocks[:k])
+        )
+        assert tuple(neville_eliminate(k)) == leading
 
 
 def test_forced_inexact_quotient_names_stage_row_and_column(monkeypatch):
@@ -343,7 +328,7 @@ def test_forced_inexact_quotient_names_stage_row_and_column(monkeypatch):
     exact_division = EtaPoly.__truediv__
     monkeypatch.setattr(EtaPoly, "__truediv__", lambda a, b: exact_division(a, b + mono(1)))
     with pytest.raises(ArithmeticError, match=r"^inexact quotient at stage 2, row 2, column 2: "):
-        neville_eliminate(3)
+        tuple(neville_eliminate(3))
 
 
 def gaussian_binomial_in_eta(m, k):
@@ -357,12 +342,12 @@ def gaussian_binomial_in_eta(m, k):
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_multipliers_are_gaussian_binomials(n):
-    # row i's multiplier at stage s is eta^((i-s)^2) * [i-1 choose s-1] in eta^2
-    trace = neville_eliminate(n)
-    for s in range(1, n + 1):
-        stage = trace.stage(s)
+    # row i's multiplier at stage s, U(s,i,s)/U(s,s,s) with U(s,i,s) the
+    # mirror of the pivot row's Q(s,s,i), is eta^((i-s)^2) * [i-1 choose s-1] in eta^2
+    for s, block in enumerate(neville_eliminate(n), 1):
+        pivot_row = block[0]
         for i in range(s, n + 1):
-            multiplier = stage.entry(i, s) / stage.entry(s, s)
+            multiplier = (pivot_row[i - s] / pivot_row[0]).in_eta((i - s) ** 2)
             assert multiplier == mono((i - s) ** 2) * gaussian_binomial_in_eta(i - 1, s - 1)
 
 
@@ -376,5 +361,6 @@ def test_one_exact_division_per_row_and_stage(n, monkeypatch):
         return exact_division(a, b)
 
     monkeypatch.setattr(EtaPoly, "__truediv__", counted)
-    neville_eliminate(n)
+    for _ in neville_eliminate(n):
+        pass
     assert len(divisions) == n * (n - 1) // 2

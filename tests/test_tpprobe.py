@@ -192,7 +192,7 @@ BOOL_N_GUARDS = {
     "series_determinant-order": lambda n: series_determinant(2, n),
     "leading_term": leading_term,
     "verify_closed_form": verify_closed_form,
-    "neville_eliminate": neville_eliminate,
+    "neville_eliminate": lambda n: next(neville_eliminate(n)),
     "poly_h": poly_h,
 }
 
