@@ -11,12 +11,13 @@ with a superfactorial coefficient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exact import EtaPoly, poly_h
-from .multisets import SimplexSpec, enumerate_simplex
+from .multisets import SimplexSpec, _chain_rows, enumerate_simplex
 from .neville import Block, neville_eliminate
 
 
@@ -85,7 +86,9 @@ def _h_prefixes(j: int) -> list[EtaPoly]:
 
 def _u_value(s: int, i: int, j: int, h_prefixes: list[EtaPoly]) -> EtaPoly:
     # Q(s, i, j) in z, where U(s, i, j) = eta^((i-j)^2) * Q(s, i, j)(eta^2);
-    # h_prefixes is _h_prefixes(j)
+    # h_prefixes is _h_prefixes(j).  One multiset per entry, as the paper
+    # states it; verify_closed_form builds the same values as running sums
+    # (_closed_form_rows), and this form is their oracle
     if i < s:
         # row i froze at stage i
         return _u_value(i, i, j, h_prefixes)
@@ -218,47 +221,79 @@ class AgreementReport:
     actual: str | None = None
 
 
+def _closed_form_rows(s: int, n: int, h_prefixes: list[list[EtaPoly]]) -> Iterator[list[EtaPoly]]:
+    """Q(s, i, j) for j = s..n, one list per active row i = s..n, in order.
+
+    With a = j - s + 1, the multiset sum of Q(s, i, j) is
+    sum over r <= i - s of z^(a*r) * P_(s-2)(r), where P_(s-2)(r) is the
+    Gaussian binomial [r + s - 2 choose s - 2] in z, so each (s, j) keeps a
+    running sum, and row i adds the one shared row P_(s-2)(i - s) to every
+    sum, shifted by a*(i - s), before each is multiplied by its h-prefix
+    (``h_prefixes[j - 1]`` is ``_h_prefixes(j)``).  The rows are read once,
+    in order, so a depth too large for the table streams them.  Stage 1 is
+    all ones.
+    """
+    if s == 1:
+        ones = [EtaPoly.one()] * n
+        for _ in range(n):
+            yield ones
+        return
+    prefixes = [h_prefixes[j - 1][s - 1] for j in range(s, n + 1)]
+    sums: list[list[int]] = [[] for _ in prefixes]
+    for r, row in zip(range(n - s + 1), _chain_rows(s - 2, n - s + 1)):
+        out = []
+        for a, (acc, prefix) in enumerate(zip(sums, prefixes), 1):
+            # the shifted row ends at (j - 1) * r, past the sum's degree
+            # (j - 1)(r - 1), and may start past it too
+            shift = a * r
+            if shift > len(acc):
+                acc += [0] * (shift - len(acc))
+            head = len(acc) - shift
+            acc[shift:] = map(operator.add, acc[shift:], row)
+            acc += row[head:]
+            out.append(prefix * EtaPoly._of(acc))
+        yield out
+
+
 def verify_closed_form(n: int, blocks: Iterable[Block] | None = None) -> AgreementReport:
     """Compare every entry of every elimination stage against its closed form.
 
-    The stages are read off the blocks of ``neville_eliminate``, in z: an
-    active entry from its stage's block (mirrored below the diagonal), a
-    frozen row from the pivot row it had when it froze, and an entry left of
-    the stage as zero.  Entries are checked in (stage, row, column)
-    lexicographic order and the first mismatch, if any, is reported with both
-    sides rendered in eta.  The blocks of an elimination of at least n points
-    may be passed in to avoid re-eliminating; the first n are read, within
-    rows and columns <= n.
+    The stages are read off the blocks of ``neville_eliminate``, in z.  Each
+    stage compares its whole active block, both halves, once: entry (i, j)
+    of the upper half against Q(s, i, j), and entry (j, i) of the upper half
+    again, mirrored, against Q(s, j, i), which checks the closed form's
+    symmetry.  The closed forms are running sums over shared Gaussian-binomial
+    rows (``_closed_form_rows``), not one multiset per entry.  The other
+    entries of a stage are counted as checked without a comparison: a
+    frozen row is the pivot row of the stage it froze at, compared there
+    against the same closed form, and an entry left of the stage is zero on
+    both sides.  So the first mismatch, if any, is the first in (stage, row,
+    column) lexicographic order, with ``entries_checked`` counting every
+    entry up to it, and is reported with both sides rendered in eta; a
+    passing check counts n^3.  The blocks of an elimination of at least n
+    points may be passed in to avoid re-eliminating; the first n are read,
+    within rows and columns <= n.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if blocks is None:
         blocks = neville_eliminate(n)
     h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
-    zero = EtaPoly.zero()
-    pivot_rows: list[tuple[EtaPoly, ...]] = []
-    checked = 0
+    stages = 0
     for s, block in zip(range(1, n + 1), blocks):
         if len(block) <= n - s:
             raise ValueError(f"stage {s} block has {len(block)} rows, expected {n - s + 1}")
-        pivot_rows.append(block[0])
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i < s:
-                    actual = pivot_rows[i - 1][j - i] if j >= i else zero
-                elif j < s:
-                    actual = zero
-                else:
-                    actual = block[i - s][j - i] if j >= i else block[j - s][i - j]
-                expected = _u_value(s, i, j, h_prefixes[j - 1])
-                checked += 1
+        stages = s
+        for i, row in enumerate(_closed_form_rows(s, n, h_prefixes), s):
+            for j, expected in enumerate(row, s):
+                actual = block[i - s][j - i] if j >= i else block[j - s][i - j]
                 if actual != expected:
                     shift = (i - j) ** 2
-                    return AgreementReport(n, checked, False, (s, i, j),
+                    return AgreementReport(n, (s - 1) * n * n + (i - 1) * n + j, False, (s, i, j),
                                            str(expected.in_eta(shift)), str(actual.in_eta(shift)))
-    if checked != n ** 3:
-        raise ValueError(f"blocks hold {len(pivot_rows)} stages, expected {n}")
-    return AgreementReport(n, checked, True)
+    if stages != n:
+        raise ValueError(f"blocks hold {stages} stages, expected {n}")
+    return AgreementReport(n, n ** 3, True)
 
 
 def ai1_grid_holds() -> bool:

@@ -200,6 +200,14 @@ class EtaPoly:
         coeffs[shift::2] = self._coeffs
         return EtaPoly._of(coeffs)
 
+    def _shifted(self, places: int) -> "EtaPoly":
+        """eta^places * self, for an int places >= 0, without a product."""
+        if not self._coeffs:
+            return self
+        poly = EtaPoly.__new__(EtaPoly)
+        poly._coeffs = (0,) * places + self._coeffs
+        return poly
+
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

@@ -106,7 +106,7 @@ def neville_eliminate(n: int) -> Iterator[Block]:
                     f"inexact quotient at stage {s + 2}, row {s + r + 1}, column {s + r + 1}: {exc}"
                 ) from exc
             rows.append(tuple(
-                entry - EtaPoly.monomial(r * (r + c)) * (multiplier * pivot_row[r + c])
+                entry - (multiplier * pivot_row[r + c])._shifted(r * (r + c))
                 for c, entry in enumerate(block[r])
             ))
         block = tuple(rows)

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from gaussdet import closedform, multisets
 from gaussdet.closedform import (
+    AgreementReport,
+    _closed_form_rows,
+    _h_prefixes,
+    _u_value,
     ai1_grid_holds,
     ai2_grid_holds,
     check_ai1,
@@ -23,7 +28,38 @@ from gaussdet.neville import (
     diagonal_product,
     neville_eliminate,
 )
+from matrix_elimination import bareiss_det
 from test_exact import series_one_minus_exp
+
+
+def reference_verify_closed_form(n, blocks) -> AgreementReport:
+    """verify_closed_form as one multiset closed form per entry, for all n^3 entries.
+
+    Every entry of every stage is read off the blocks (a frozen row from the
+    pivot row it froze with, an entry left of the stage as zero) and
+    compared, in (stage, row, column) order, with ``_u_value``.
+    """
+    h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
+    zero = EtaPoly.zero()
+    pivot_rows = []
+    checked = 0
+    for s, block in zip(range(1, n + 1), blocks):
+        pivot_rows.append(block[0])
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i < s:
+                    actual = pivot_rows[i - 1][j - i] if j >= i else zero
+                elif j < s:
+                    actual = zero
+                else:
+                    actual = block[i - s][j - i] if j >= i else block[j - s][i - j]
+                expected = _u_value(s, i, j, h_prefixes[j - 1])
+                checked += 1
+                if actual != expected:
+                    shift = (i - j) ** 2
+                    return AgreementReport(n, checked, False, (s, i, j),
+                                           str(expected.in_eta(shift)), str(actual.in_eta(shift)))
+    return AgreementReport(n, checked, True)
 
 
 # -- superfactorial ----------------------------------------------------------------
@@ -173,6 +209,122 @@ def test_verify_closed_form_reports_first_mismatch():
     assert report.first_mismatch == (1, 1, 2)
     assert report.expected == "eta"
     assert report.actual == "eta^3"
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["table", "streamed"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_closed_form_rows_equal_the_multiset_sums(n, streamed, monkeypatch):
+    # every active Q(s, i, j), built as a running sum, against enumerate_simplex's multiset
+    if streamed:
+        monkeypatch.setattr(multisets, "_ROWS_MAX_COUNTS", 0)
+        monkeypatch.setattr(multisets, "_ROWS", {})
+    h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
+    for s in range(1, n + 1):
+        rows = list(_closed_form_rows(s, n, h_prefixes))
+        assert len(rows) == n - s + 1
+        for i, row in enumerate(rows, s):
+            assert len(row) == n - s + 1
+            for j, q in enumerate(row, s):
+                assert q == _u_value(s, i, j, h_prefixes[j - 1]), (s, i, j)
+    if streamed:
+        assert multisets._ROWS == {}
+        assert verify_closed_form(n).agree
+
+
+def test_verify_closed_form_enumerates_no_multiset(monkeypatch):
+    calls = []
+    enumerate_simplex = multisets.enumerate_simplex
+
+    def counted(spec):
+        calls.append(spec)
+        return enumerate_simplex(spec)
+
+    monkeypatch.setattr(multisets, "enumerate_simplex", counted)
+    monkeypatch.setattr(closedform, "enumerate_simplex", counted)
+    assert verify_closed_form(10).agree
+    assert calls == []
+    # the oracle still counts its multiset through the patched name
+    closed_form_u(3, 4, 5, 6)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eta", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_forms_satisfy_sylvesters_identity(n, eta):
+    # U(s,i,j) * det V_(s-1) = det V[{1..s-1, i}, {1..s-1, j}], from the covariance
+    # alone: neither the elimination nor the multisets enter
+    def minor(rows, cols):
+        if not rows:
+            return Fraction(1)
+        return bareiss_det([[eta ** ((a - b) ** 2) for b in cols] for a in rows])
+
+    h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
+    for s in range(1, n + 1):
+        leading = list(range(1, s))
+        pivots = minor(leading, leading)
+        for i, row in enumerate(_closed_form_rows(s, n, h_prefixes), s):
+            for j, q in enumerate(row, s):
+                u = eta ** ((i - j) ** 2) * q(eta * eta)
+                assert u * pivots == minor(leading + [i], leading + [j]), (s, i, j)
+
+
+def test_the_lower_half_is_compared_with_its_own_closed_form(monkeypatch):
+    # closed forms wrong only below the diagonal, at Q(3, 5, 4): the block holds
+    # Q(3, 4, 5) there, and only the mirrored comparison reads it
+    rows = closedform._closed_form_rows
+
+    def skewed(s, n, h_prefixes):
+        for i, row in enumerate(rows(s, n, h_prefixes), s):
+            if (s, i) == (3, 5):
+                row = row[:1] + [row[1] + EtaPoly.one()] + row[2:]
+            yield row
+
+    monkeypatch.setattr(closedform, "_closed_form_rows", skewed)
+    report = verify_closed_form(5)
+    assert report.first_mismatch == (3, 5, 4)
+    assert report.actual == str(closed_form_u(3, 4, 5, 5))
+    assert report.expected == str(closed_form_u(3, 5, 4, 5) + EtaPoly.monomial(1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_verify_closed_form_equals_the_reference_on_the_elimination(n):
+    blocks = tuple(neville_eliminate(n))
+    assert verify_closed_form(n, blocks) == reference_verify_closed_form(n, blocks)
+
+
+def _planted(blocks, *plants):
+    """The blocks with each (stage, row, index) entry replaced by itself plus its value."""
+    out = [[list(row) for row in block] for block in blocks]
+    for s, r, c, value in plants:
+        out[s - 1][r][c] = out[s - 1][r][c] + value
+    return tuple(tuple(map(tuple, block)) for block in out)
+
+
+@pytest.mark.parametrize(
+    "plants, mismatch",
+    [
+        # a pivot row at stage 3 (row 3, column 5), read as a frozen row by stages 4..6
+        (((3, 0, 2, EtaPoly.monomial(2)),), (3, 3, 5)),
+        # the pivot row's diagonal at stage 4
+        (((4, 0, 0, EtaPoly.one()),), (4, 4, 4)),
+        # an upper off-diagonal entry, also read mirrored at (2, 5, 3)
+        (((2, 1, 2, -EtaPoly.monomial(1)),), (2, 3, 5)),
+        # the last stage
+        (((6, 0, 0, EtaPoly((0, 3))),), (6, 6, 6)),
+        # two plants: the first in (stage, row, column) order is reported
+        (((5, 0, 1, EtaPoly.one()), (3, 2, 1, EtaPoly.one())), (3, 5, 6)),
+        (((2, 4, 0, EtaPoly.one()), (2, 0, 3, EtaPoly.one())), (2, 2, 5)),
+    ],
+)
+def test_a_planted_mismatch_gives_the_reference_report(plants, mismatch):
+    n = 6
+    blocks = _planted(tuple(neville_eliminate(n)), *plants)
+    report = verify_closed_form(n, blocks)
+    assert report == reference_verify_closed_form(n, blocks)
+    s, i, j = mismatch
+    assert report.first_mismatch == mismatch
+    assert report.entries_checked == (s - 1) * n * n + (i - 1) * n + j
+    assert not report.agree and report.expected != report.actual
 
 
 # -- factored determinant ----------------------------------------------------------------

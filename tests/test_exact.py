@@ -168,6 +168,11 @@ def test_in_eta_is_evaluation_at_eta_squared(q, shift, x):
     assert q.in_eta(shift)(x) == x ** shift * q(x * x)
 
 
+@given(polys, st.integers(0, 9))
+def test_shifted_is_the_monomial_product(p, places):
+    assert p._shifted(places) == EtaPoly.monomial(places) * p
+
+
 # -- exact division ------------------------------------------------------------
 
 
