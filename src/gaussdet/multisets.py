@@ -152,11 +152,8 @@ class SimplexSpec:
     epsilon: int = 0
 
     def __post_init__(self) -> None:
-        fields = (self.n, self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
-        # one type pass; the field-by-field guard only names the first bad field
-        if set(map(type, fields)) != {int}:
-            for name, value in zip(("n", "alpha", "beta", "gamma", "delta", "epsilon"), fields):
-                _require_int(name, value)
+        for name in ("n", "alpha", "beta", "gamma", "delta", "epsilon"):
+            _require_int(name, getattr(self, name))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.alpha < 0:
@@ -221,6 +218,27 @@ def _chain_rows(depth: int, size: int) -> Iterable[list[int]]:
     return rows
 
 
+def _count_into(counts, sign, n, alpha, beta, gamma, delta, epsilon=0) -> None:
+    """Add sign times the multiplicities of S(n, alpha, beta, gamma, delta, epsilon) into counts.
+
+    Takes a valid SimplexSpec's fields, or the empty first-coordinate range
+    delta == gamma - 1, which counts nothing and reads no rows.
+    """
+    if delta < gamma:
+        return
+    # epsilon pins k' to k, which leaves a chain one coordinate shorter;
+    # with one coordinate there is no k' to pin
+    pinned = epsilon if n > 1 else 0
+    depth = n - 1 - pinned
+    # term k is x^(alpha + step*k) * P_depth(k); summed by exponent, so the
+    # cost never grows with beta or alpha
+    step = beta + pinned
+    rows = islice(_chain_rows(depth, delta), gamma - 1, delta)
+    for k, row in enumerate(rows, gamma - 1):
+        for e, m in enumerate(row, alpha + step * k):
+            counts[e] = counts.get(e, 0) + sign * m
+
+
 def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
     """The multiset of alpha + beta*k + k' + ... values over a spec's lattice points.
 
@@ -233,18 +251,8 @@ def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
     n*delta^2/2 additions whatever beta is, not the cardinality
     C(k+n-1, n-1) per k.  All multiplicities are positive.
     """
-    # epsilon pins k' to k, which leaves a chain one coordinate shorter;
-    # with one coordinate there is no k' to pin
-    pinned = spec.epsilon if spec.n > 1 else 0
-    depth = spec.n - 1 - pinned
-    # term k is x^(alpha + step*k) * P_depth(k); summed by exponent, so the
-    # cost never grows with beta or alpha
-    step = spec.beta + pinned
     counts: dict[int, int] = {}
-    rows = islice(_chain_rows(depth, spec.delta), spec.gamma - 1, spec.delta)
-    for k, row in enumerate(rows, spec.gamma - 1):
-        for e, m in enumerate(row, spec.alpha + step * k):
-            counts[e] = counts.get(e, 0) + m
+    _count_into(counts, 1, spec.n, spec.alpha, spec.beta, spec.gamma, spec.delta, spec.epsilon)
     return SignedMultiset._of(counts)
 
 
@@ -258,14 +266,6 @@ class IdentityReport:
     rhs: SignedMultiset
     equal: bool
     difference: SignedMultiset
-
-
-def _term(n, alpha, beta, gamma, delta, epsilon=0) -> SignedMultiset:
-    # delta == gamma - 1 means an empty first-coordinate range: the term is
-    # the empty multiset (needed by MI1b/MI2 at the delta = 2 boundary)
-    if delta == gamma - 1:
-        return SignedMultiset()
-    return enumerate_simplex(SimplexSpec(n, alpha, beta, gamma, delta, epsilon))
 
 
 def _mi1(n, alpha, beta, delta):
@@ -345,7 +345,7 @@ def identity_param_names(identity: str) -> tuple[str, ...]:
 def verify_identity(identity: str, params: Sequence[int]) -> IdentityReport:
     """Instantiate both sides of a named identity and compare them exactly.
 
-    Each side is built from per-spec counts, never from another identity's
+    Each side is summed from its terms' counts, never from another identity's
     report, so a bug in one identity cannot mask a bug in another.  Unequal
     sides yield a report carrying the symmetric difference as the
     counterexample.  A parameter that is not an ``int`` (``bool`` and
@@ -383,10 +383,9 @@ def verify_identity(identity: str, params: Sequence[int]) -> IdentityReport:
 def _side(plus, minus=()) -> SignedMultiset:
     """The counts of the plus terms less those of the minus terms, summed in one dict."""
     counts: dict[int, int] = {}
-    for sign, term_specs in ((1, plus), (-1, minus)):
-        for spec in term_specs:
-            for e, m in _term(*spec)._mult.items():
-                counts[e] = counts.get(e, 0) + sign * m
+    for sign, terms in ((1, plus), (-1, minus)):
+        for term in terms:
+            _count_into(counts, sign, *term)
     return SignedMultiset._of({e: m for e, m in counts.items() if m})
 
 

@@ -243,10 +243,10 @@ def test_multiset_sweep_runs_the_full_grid(run):
 
 
 def test_multiset_above_the_limit_is_refused_before_work(run, monkeypatch):
-    def no_work(spec):
-        raise AssertionError("a term was counted")
+    def no_work(counts, sign, *term):
+        raise AssertionError(f"counted {term}")
 
-    monkeypatch.setattr(multisets, "enumerate_simplex", no_work)
+    monkeypatch.setattr(multisets, "_count_into", no_work)
     code, report = run_json(run, "multiset", "--identity", "MI1", "--params", "100,0,1,100")
     assert code == 2
     assert report["outcome"] == "error"

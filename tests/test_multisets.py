@@ -1,6 +1,7 @@
 """Simplicial multiset counts, signed-multiset algebra, and the identities."""
 
 import hashlib
+import re
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -60,43 +61,50 @@ def literal_simplex(spec):
 # -- counting against the literal enumeration -----------------------------------------
 
 
-def test_counts_equal_the_literal_enumeration_on_the_shipped_grids(monkeypatch):
-    terms = set()
-    real_term = multisets._term
+def _counted_terms(monkeypatch, run):
+    """Every (n, alpha, beta, gamma, delta, epsilon) term that run() counts, in call order."""
+    terms = []
+    real_count_into = multisets._count_into
 
-    def recording(n, alpha, beta, gamma, delta, epsilon=0):
-        terms.add((n, alpha, beta, gamma, delta, epsilon))
-        return real_term(n, alpha, beta, gamma, delta, epsilon)
+    def recording(counts, sign, n, alpha, beta, gamma, delta, epsilon=0):
+        terms.append((n, alpha, beta, gamma, delta, epsilon))
+        real_count_into(counts, sign, n, alpha, beta, gamma, delta, epsilon)
 
-    monkeypatch.setattr(multisets, "_term", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(multisets, "_count_into", recording)
+        run()
+    return terms
+
+
+def _count_term(term):
+    """One term counted on its own by the kernel that sums the identity sides."""
+    counts = {}
+    multisets._count_into(counts, 1, *term)
+    return SignedMultiset.from_counts(counts)
+
+
+def _run_shipped_grids():
+    """The multiset --sweep grid and the verify-all lift grid, all passing."""
     for identity in IDENTITY_NAMES:
         assert cli._identity_sweep(identity)[1] == []
     for w, i, j in cli.LIFT_GRID:
         lift_duality(w, i, j)
+
+
+def test_counts_equal_the_literal_enumeration_on_the_shipped_grids(monkeypatch):
+    terms = set(_counted_terms(monkeypatch, _run_shipped_grids))
     fields = ("n", "alpha", "beta", "gamma", "delta", "epsilon")
     specs = {term: SimpleNamespace(**dict(zip(fields, term))) for term in terms}
     # the grids reach the pinned and the empty first-coordinate cases
     assert any(spec.epsilon for spec in specs.values())
     assert any(spec.delta == spec.gamma - 1 for spec in specs.values())
     for term, spec in specs.items():
-        assert real_term(*term) == literal_simplex(spec), term
+        assert _count_term(term) == literal_simplex(spec), term
 
 
 def _shipped_grid_specs(monkeypatch):
     """Every nonempty spec that the multiset --sweep and verify-all lift grids count, in call order."""
-    terms = []
-    real_term = multisets._term
-
-    def recording(n, alpha, beta, gamma, delta, epsilon=0):
-        terms.append((n, alpha, beta, gamma, delta, epsilon))
-        return real_term(n, alpha, beta, gamma, delta, epsilon)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(multisets, "_term", recording)
-        for identity in IDENTITY_NAMES:
-            cli._identity_sweep(identity)
-        for w, i, j in cli.LIFT_GRID:
-            lift_duality(w, i, j)
+    terms = _counted_terms(monkeypatch, _run_shipped_grids)
     return [SimplexSpec(*term) for term in terms if term[4] >= term[3]]
 
 
@@ -171,18 +179,10 @@ LARGE = 10**12
 def test_a_large_beta_is_counted_by_exponent(monkeypatch, identity, params):
     # the exponents span about beta*delta, the counts only n*delta^2/2: a dense
     # layout over the span would not fit in memory
-    terms = []
-    real_term = multisets._term
-
-    def recording(*term):
-        terms.append(term)
-        return real_term(*term)
-
-    monkeypatch.setattr(multisets, "_term", recording)
     report = verify_identity(identity, params)
     assert report.equal
     assert max(element for element, _ in report.lhs.items()) >= LARGE
-    for term in terms:
+    for term in _counted_terms(monkeypatch, lambda: verify_identity(identity, params)):
         spec = SimplexSpec(*term)
         assert enumerate_simplex(spec) == literal_simplex(spec), term
 
@@ -197,22 +197,15 @@ def test_a_large_j_lift_equals_its_literal_terms(w, i):
 
 
 def test_term_specs_are_pinned(monkeypatch):
-    # sha256 prefix of every _term spec, in call order, of the multiset --sweep
-    # grid, the verify-all lift grid, MI6 at (8, 6, 12) and MI1 at (30, 0, 1, 40)
-    calls = []
-    real_term = multisets._term
+    # sha256 prefix of every counted term, the empty ones among them, in call
+    # order, of the multiset --sweep grid, the verify-all lift grid, MI6 at
+    # (8, 6, 12) and MI1 at (30, 0, 1, 40)
+    def run():
+        _run_shipped_grids()
+        verify_identity("MI6", (8, 6, 12))
+        verify_identity("MI1", (30, 0, 1, 40))
 
-    def recording(n, alpha, beta, gamma, delta, epsilon=0):
-        calls.append((n, alpha, beta, gamma, delta, epsilon))
-        return real_term(n, alpha, beta, gamma, delta, epsilon)
-
-    monkeypatch.setattr(multisets, "_term", recording)
-    for identity in IDENTITY_NAMES:
-        cli._identity_sweep(identity)
-    for w, i, j in cli.LIFT_GRID:
-        lift_duality(w, i, j)
-    verify_identity("MI6", (8, 6, 12))
-    verify_identity("MI1", (30, 0, 1, 40))
+    calls = _counted_terms(monkeypatch, run)
     assert all(type(x) is int for call in calls for x in call)
     assert len(calls) == 4487
     assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == "06aeefeb73f2411d"
@@ -315,6 +308,39 @@ def test_spec_fields_must_be_ints(kwargs, name):
     # bool is a subclass of int, and True would pass every lower bound
     with pytest.raises(TypeError, match=f"{name} must be an int"):
         SimplexSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ((1, 0, 1, 1, True), TypeError, "delta must be an int, got bool"),
+        ((1.0, 0, 1, 1, 2.5), TypeError, "n must be an int, got float"),
+        ((2, 0, 1, 1, 2, Fraction(1)), TypeError, "epsilon must be an int, got Fraction"),
+        ((0, 0, 1, 1, 1), ValueError, "n must be >= 1, got 0"),
+        ((1, 0, 1, 3, 2), ValueError, "gamma <= delta required, got gamma=3, delta=2"),
+        ((1, 0, 1, 1, 0), ValueError, "delta must be >= 1, got 0"),
+        ((2, 0, 1, 1, 2, 2), ValueError, "epsilon must be 0 or 1, got 2"),
+    ],
+)
+def test_enumerate_simplex_is_given_only_a_checked_spec(fields, error, message):
+    # the public path checks every field, the first bad one named; the empty
+    # range delta == gamma - 1 that the identity sides count is refused here
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        enumerate_simplex(SimplexSpec(*fields))
+
+
+def test_every_identity_term_is_a_spec_or_the_empty_range(monkeypatch):
+    # the kernel that counts the identity sides checks no field: each term the
+    # identity table builds is a valid SimplexSpec or has delta == gamma - 1
+    terms = []
+    for least, build in multisets._IDENTITIES.values():
+        lhs, rhs = build(**least)
+        terms += lhs + rhs
+    terms += _counted_terms(monkeypatch, _run_shipped_grids)
+    assert any(term[4] == term[3] - 1 for term in terms)
+    for n, alpha, beta, gamma, delta, *epsilon in terms:
+        # an empty range has its other fields checked at delta = gamma
+        SimplexSpec(n, alpha, beta, gamma, gamma if delta == gamma - 1 else delta, *epsilon)
 
 
 # -- signed multiset algebra -----------------------------------------------------
@@ -481,10 +507,10 @@ def test_wrong_parameter_count_is_rejected():
 def forbid_counting(monkeypatch):
     """Make counting any term an error, so a refusal is seen to come first."""
 
-    def no_work(*spec):
-        raise AssertionError(f"counted {spec}")
+    def no_work(counts, sign, *term):
+        raise AssertionError(f"counted {term}")
 
-    monkeypatch.setattr(multisets, "_term", no_work)
+    monkeypatch.setattr(multisets, "_count_into", no_work)
 
 
 @pytest.mark.parametrize(
