@@ -55,8 +55,8 @@ EXIT_USAGE = 2
 # Each n-indexed check: the first and last n of its --sweep (GAUSSDET_MAX_N lowers
 # the last), its largest --n (None where the check refuses a large n itself), and
 # the keys of its entry that verify-all reports.  The symbolic limits keep each
-# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 1.8 s,
-# leading-term about 1.0 s and verify-det about 0.7 s; GAUSSDET_MAX_N may only
+# run within seconds on a 2-vCPU Xeon: at n = 30 verify-u takes about 1.4 s,
+# leading-term about 0.7 s and verify-det about 0.5 s; GAUSSDET_MAX_N may only
 # lower them.
 CHECKS = {
     "verify-u": (1, 10, 30, ("entries_checked", "first_mismatch")),

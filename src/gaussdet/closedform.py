@@ -47,12 +47,11 @@ def check_ai2(i: int, j: int) -> bool:
     if i < 2 or j < 1:
         raise ValueError(f"requires i >= 2 and j >= 1, got i={i}, j={j}")
     h = poly_h(j - 1) if j >= 2 else EtaPoly.zero()
-    geometric = EtaPoly.zero()
+    geometric = [0] * (2 * (i - 2) * (j - 1) + 1)
     for k in range(i - 1):
-        geometric = geometric + EtaPoly.monomial(2 * k * (j - 1))
-    lhs = h * geometric
-    rhs = EtaPoly.one() - EtaPoly.monomial(2 * (i - 1) * (j - 1))
-    return lhs == rhs
+        geometric[2 * k * (j - 1)] += 1
+    one = EtaPoly.one()
+    return h * EtaPoly(geometric) == one - one._shifted(2 * (i - 1) * (j - 1))
 
 
 def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
@@ -76,11 +75,11 @@ def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
 def _h_prefixes(j: int) -> list[EtaPoly]:
     """h_{j-1}...h_{j-s+1}, read in z = eta^2, at index s - 1 for every 1 <= s <= j.
 
-    Each is one product by h_q = 1 - z^q.
+    Each is the one before it times h_q = 1 - z^q, taken as p - z^q * p.
     """
     row = [EtaPoly.one()]
     for x in range(1, j):
-        row.append(row[-1] * (1 - EtaPoly.monomial(j - x)))
+        row.append(row[-1] - row[-1]._shifted(j - x))
     return row
 
 
@@ -119,12 +118,13 @@ class FactoredDeterminant:
     def expand(self) -> EtaPoly:
         """Multiply the factors out into the determinant polynomial.
 
-        The product is taken in z = eta^2, where h_q is 1 - z^q, and read in
-        eta once.
+        The product is taken in z = eta^2, where multiplying p by h_q = 1 - z^q
+        is p - z^q * p, and read in eta once.
         """
         result = EtaPoly.one()
         for q, mult in self.factors:
-            result = result * (1 - EtaPoly.monomial(q)) ** mult
+            for _ in range(mult):
+                result = result - result._shifted(q)
         return result.in_eta()
 
     def evaluate(self, eta_value: Fraction) -> Fraction:

@@ -57,9 +57,12 @@ def _render_terms(terms: Iterable[tuple[int, int]]) -> str:
 # not fit takes long division.
 
 # Nonzero terms of the sparser operand from which a packed product beats the
-# term-by-term loop.  On the products of the elimination and its closed forms,
-# the sparser ones (mostly monomials and h-factors) cost 2.7 times the loop
-# when packed, and the denser ones a third of it.
+# term-by-term loop.  Replaying the products of `verify-u --n 30` and of the
+# symbolic-n15 benchmark workload (2-vCPU Xeon, Python 3.11), those whose
+# sparser operand has 2 terms cost 3 times the loop when packed, 4 terms 1.35
+# times and 5 terms 1.0 to 1.3 times; 6 to 8 terms cost 0.7 to 0.8 times and
+# 10 terms 0.35.  Moving the threshold to 6 saves 2 % of the replayed product
+# time (25.9 to 25.4 ms on symbolic-n15), within the noise of a run.
 _PACKED_MIN_TERMS = 8
 _SLOT_LIMIT = 1 << 63
 
@@ -250,25 +253,28 @@ class EtaPoly:
             return NotImplemented
         return other - self
 
+    def _scaled(self, c: int) -> "EtaPoly":
+        """c * self, for an int c."""
+        return self if c == 1 else EtaPoly._of(c * x for x in self._coeffs)
+
     def __mul__(self, other):
         if type(other) is int:
-            return EtaPoly._of(x * other for x in self._coeffs)
+            return self._scaled(other)
         if not isinstance(other, EtaPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return EtaPoly()
-        # iterate over the sparser operand so monomials and h-factors cost O(degree)
+        # a constant operand, zero included, scales the other
+        if len(b) < 2:
+            return self._scaled(b[0] if b else 0)
+        if len(a) < 2:
+            return other._scaled(a[0] if a else 0)
         terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
         if terms_a > terms_b:
             a, b = b, a
-        if min(terms_a, terms_b) == 1:
-            # a is c*eta^k: shift b by k places and scale it by c
-            c = a[-1]
-            return EtaPoly._of((0,) * (len(a) - 1) + (b if c == 1 else tuple(c * x for x in b)))
         if min(terms_a, terms_b) >= _PACKED_MIN_TERMS:
             packed = _packed_product(a, b)
             return EtaPoly._of(_wide_product(a, b) if packed is None else packed)
+        # term by term, over the sparser operand's nonzero terms
         out = [0] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:
@@ -284,19 +290,6 @@ class EtaPoly:
         if other is None:
             return NotImplemented
         return _exact_quotient(self, other)
-
-    def __pow__(self, exponent: int):
-        if type(exponent) is not int or exponent < 0:
-            raise ValueError("polynomial power must be a nonnegative integer")
-        result = EtaPoly.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
 
     def __call__(self, point) -> Fraction:
         """Evaluate at a rational point, an int or a Fraction (Horner)."""

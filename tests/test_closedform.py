@@ -1,5 +1,7 @@
 """Closed-form stage entries, the h-factor determinant, and its leading term."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -345,6 +347,24 @@ def test_factored_determinant_rendering():
 def test_factored_determinant_expansion_golden():
     assert str(factored_determinant(3).expand()) == "1 - 2*eta^2 + 2*eta^6 - eta^8"
     assert factored_determinant(1).expand() == EtaPoly.one()
+
+
+def test_expansion_is_the_product_of_its_h_factors():
+    # det(n) = det(n - 1) * h_1 * ... * h_(n-1), each factor multiplied in
+    product = EtaPoly.one()
+    for n in range(1, 31):
+        product = functools.reduce(operator.mul, map(poly_h, range(1, n)), product)
+        assert factored_determinant(n).expand() == product
+
+
+def test_h_prefixes_are_products_of_h_factors():
+    # in z = eta^2, h_q is 1 - z^q
+    for j in range(1, 31):
+        prefixes = _h_prefixes(j)
+        assert len(prefixes) == j
+        for s, prefix in enumerate(prefixes, 1):
+            factors = (EtaPoly((1,) + (0,) * (q - 1) + (-1,)) for q in range(j - s + 1, j))
+            assert prefix == functools.reduce(operator.mul, factors, EtaPoly.one())
 
 
 def test_factored_determinant_rejects_bad_n():

@@ -57,16 +57,19 @@ def test_multiplication_by_zero_absorbs():
 
 
 def test_scalar_and_power_arithmetic():
+    # a power is a repeated product; there is no ** operator
     assert 2 * ETA == EtaPoly((0, 2))
-    assert ETA ** 3 == EtaPoly.monomial(3)
-    assert (H1 ** 2) == H1 * H1
-    assert H1 ** 0 == EtaPoly.one()
+    assert ETA * ETA * ETA == EtaPoly.monomial(3)
+    assert H1 * H1 == EtaPoly((1, 0, -2, 0, 1))
+    with pytest.raises(TypeError):
+        H1 ** 2
 
 
-def test_power_refuses_a_bool_exponent():
-    # bool is a subclass of int, and True would pass as the power 1
-    with pytest.raises(ValueError):
-        EtaPoly((1, 1)) ** True
+@given(polys, st.integers(0, 40), st.integers(-30, 30))
+def test_monomial_and_constant_operands_shift_and_scale(p, k, c):
+    assert EtaPoly.monomial(k) * p == p._shifted(k) == p * EtaPoly.monomial(k)
+    assert EtaPoly((c,)) * p == c * p == p * EtaPoly((c,))
+    assert c * p == EtaPoly([c * x for x in p.coefficients])
 
 
 @pytest.mark.parametrize("exponent", [True, 2.0, Fraction(2)])
@@ -323,12 +326,13 @@ def test_exact_quotient_wider_than_a_slot_takes_long_division():
     # 63 against 60 bits fits a slot, 64 against 61 bits does not
     divisor = EtaPoly((1, -1))
     for k in (66, 67):
-        a = EtaPoly((1, 1)) ** k * divisor
+        binomial = EtaPoly([math.comb(k, m) for m in range(k + 1)])
+        a = binomial * divisor
         assert max(map(abs, a.coefficients)) < 2 ** 63
-        assert a / divisor == EtaPoly((1, 1)) ** k
+        assert a / divisor == binomial
     # the packed quotient of the wider one does not read back as its coefficients
     packed = exact._pack(a.coefficients) // exact._pack(divisor.coefficients)
-    assert exact._unpack(packed, 68) != list((EtaPoly((1, 1)) ** 67).coefficients)
+    assert exact._unpack(packed, 68) != list(binomial.coefficients)
 
 
 def assert_canonical(p):
@@ -342,10 +346,11 @@ def test_kernel_results_are_canonical():
     schoolbook_factor = EtaPoly((1, 0, -2, 3))
     packed_factor = EtaPoly(range(-4, 6))  # nine nonzero terms
     wide_factor = EtaPoly([(-1) ** k * (2 ** 70 - k) for k in range(exact._PACKED_MIN_TERMS)])
-    slot_wide = EtaPoly((1, 1)) ** 67
+    slot_wide = EtaPoly([math.comb(67, m) for m in range(68)])  # (1 + eta)^67
     results = [
         H1 + ETA, H1 - ETA, H1 + 1, 1 - H1, -H1,
-        packed_factor * 3, packed_factor * -1,
+        packed_factor * 3, packed_factor * -1, packed_factor * 1,
+        EtaPoly((-2,)) * packed_factor, packed_factor * EtaPoly.one(),
         EtaPoly((0, 0, 0, -2)) * packed_factor,
         packed_factor * packed_factor,
         wide_factor * packed_factor,

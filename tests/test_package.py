@@ -1,4 +1,7 @@
-"""Exports and the README's library layout name only what the package defines."""
+"""Exports and the README's library layout name only what the package defines.
+
+Every source file also parses at the oldest Python that pyproject.toml admits.
+"""
 
 import ast
 import importlib
@@ -70,3 +73,14 @@ def test_every_export_is_in_its_modules_layout_row():
         if name != "__version__" and name not in rows.get(modules.get(name), ())
     ]
     assert unlisted == []
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SOURCES = sorted(Path(gaussdet.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_sources_parse_at_the_oldest_supported_python(path):
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT.read_text(encoding="utf-8"))
+    assert floor is not None
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=tuple(map(int, floor.groups())))
