@@ -115,8 +115,11 @@ def all_minors_positive(n: int, eta_value) -> TpReport:
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if n > MAX_N:
+        # the exact count up to n = 64 (38 digits); above it, C(2n, n) is not
+        # computed, and C(2n, n) - 1 >= 2^n bounds the count from below
+        count = f"= {math.comb(2 * n, n) - 1:,}" if n <= 64 else f">= 2^{n}"
         raise ValueError(
-            f"n = {n} would evaluate C({2 * n}, {n}) - 1 = {math.comb(2 * n, n) - 1:,} minors; "
+            f"n = {n} would evaluate C({2 * n}, {n}) - 1 {count} minors; "
             f"the all-minors probe is limited to n <= {MAX_N}"
         )
     eta = _validate_eta(eta_value)

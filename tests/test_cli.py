@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -138,13 +139,6 @@ def test_oracle_bound_above_the_cap_is_fine_when_n_is_small(run):
     code, report = run_json(run, "verify-det", "--n", "3", "--oracle-bound", "12")
     assert code == 0
     assert report["details"]["oracle_matches"] is True
-
-
-def test_oracle_bound_is_clamped_by_the_sweep_cap(run, monkeypatch):
-    monkeypatch.setenv("GAUSSDET_MAX_N", "4")
-    code, report = run_json(run, "verify-det", "--sweep", "--oracle-bound", "12")
-    assert code == 0
-    assert [r["oracle_checked"] for r in report["details"]["results"]] == [True] * 4
 
 
 # -- leading-term ------------------------------------------------------------------
@@ -304,6 +298,18 @@ def test_tp_check_above_the_limit_is_refused_before_work(run, monkeypatch):
         assert code == 2
         assert report["outcome"] == "error"
         assert report["details"]["error"] == error
+
+
+def test_tp_check_of_a_huge_n_is_refused_at_once(run):
+    # C(2 * 10^6, 10^6) alone takes tens of seconds and has too many digits to print
+    started = time.perf_counter()
+    code, report = run_json(run, "tp-check", "--n", "1000000", "--eta", "1/2")
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert report["outcome"] == "error"
+    error = report["details"]["error"]
+    assert error.startswith("n = 1000000 would evaluate")
+    assert error.endswith("the all-minors probe is limited to n <= 8")
 
 
 def test_tp_check_widest_admitted_eta_renders(run):
@@ -484,12 +490,8 @@ def test_sweep_refuses_conflicting_flags_before_any_work(run, monkeypatch, argv)
 
 
 @pytest.mark.parametrize("command", ["verify-u", "verify-det", "leading-term"])
-@pytest.mark.parametrize("cap", [None, "40"])
-def test_symbolic_n_above_the_limit_is_refused_before_work(run, monkeypatch, command, cap):
-    # GAUSSDET_MAX_N above the limit does not raise it
+def test_symbolic_n_above_the_limit_is_refused_before_work(run, monkeypatch, command):
     limit = cli.CHECKS[command][2]
-    if cap is not None:
-        monkeypatch.setenv("GAUSSDET_MAX_N", cap)
     forbid_checks(monkeypatch)
     code, report = run_json(run, command, "--n", str(limit + 1))
     assert code == 2
@@ -532,31 +534,16 @@ def test_one_elimination_per_invocation_at_its_largest_n(run, monkeypatch, argv,
     assert calls == [largest]
 
 
-def test_sweep_emptied_by_the_cap_is_refused(run, monkeypatch):
-    monkeypatch.setenv("GAUSSDET_MAX_N", "1")
-    forbid_checks(monkeypatch)
-    code, report = run_json(run, "leading-term", "--sweep")
-    assert code == 2
-    assert report["outcome"] == "error"
-    assert report["details"]["error"] == (
-        "GAUSSDET_MAX_N = 1 leaves no n of the leading-term sweep 2..8"
-    )
-
-
-def test_sweep_cap_of_two_still_runs_n_two(run, monkeypatch):
-    monkeypatch.setenv("GAUSSDET_MAX_N", "2")
-    code, report = run_json(run, "leading-term", "--sweep")
-    assert code == 0
-    assert [entry["n"] for entry in report["details"]["results"]] == [2]
-
-
-def test_verify_all_clamps_an_emptied_grid(run, monkeypatch):
-    monkeypatch.setenv("GAUSSDET_MAX_N", "1")
-    code, report = run_json(run, "verify-all")
-    assert code == 0
-    names = [check["name"] for check in report["details"]["checks"]]
-    assert not any(name.startswith("leading-term") for name in names)
-    assert "verify-u n=1" in names and "tp-check n=1 eta=1/2" in names
+def test_the_environment_changes_no_report(run, monkeypatch):
+    # sweep ranges and --n limits come from cli.CHECKS alone
+    argvs = [("verify-u", "--sweep"), ("leading-term", "--sweep"), ("verify-all",)]
+    monkeypatch.delenv("GAUSSDET_MAX_N", raising=False)
+    unset = [_without_timing(run(*argv, "--format", "json")[1]) for argv in argvs]
+    for value in ("1", "4", "many"):
+        monkeypatch.setenv("GAUSSDET_MAX_N", value)
+        for argv, report in zip(argvs, unset):
+            code, out, err = run(*argv, "--format", "json")
+            assert (code, _without_timing(out), err) == (0, report, ""), (value, argv)
 
 
 def test_closed_stdout_exits_two_without_traceback():
@@ -624,15 +611,8 @@ def test_one_parser_serves_every_call_of_a_process(run):
     assert cli._build_parser() is parser
 
 
-def test_reused_parser_reads_the_cap_and_patches_at_each_call(run, monkeypatch):
+def test_reused_parser_reads_patches_at_each_call(run, monkeypatch):
     run("verify-u", "--n", "2")
-    monkeypatch.setenv("GAUSSDET_MAX_N", "3")
-    _, report = run_json(run, "verify-u", "--sweep")
-    assert [entry["n"] for entry in report["details"]["results"]] == [1, 2, 3]
-    monkeypatch.setenv("GAUSSDET_MAX_N", "5")
-    _, report = run_json(run, "verify-u", "--sweep")
-    assert [entry["n"] for entry in report["details"]["results"]] == [1, 2, 3, 4, 5]
-    monkeypatch.delenv("GAUSSDET_MAX_N")
     forbid_checks(monkeypatch)
     for argv in [("verify-u", "--n", "3"), ("multiset", "--sweep"), ("verify-all",)]:
         with pytest.raises(AssertionError, match="a check ran"):
@@ -646,21 +626,6 @@ def test_importing_the_cli_builds_no_parser():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                             timeout=60, check=True)
     assert result.stdout == b"0\n"
-
-
-def test_max_n_env_cap(run, monkeypatch):
-    monkeypatch.setenv("GAUSSDET_MAX_N", "4")
-    code, _, err = run("verify-u", "--n", "5")
-    assert code == 2
-    assert "GAUSSDET_MAX_N" in err
-    code, report = run_json(run, "verify-u", "--sweep")
-    assert code == 0
-    assert [entry["n"] for entry in report["details"]["results"]] == [1, 2, 3, 4]
-
-
-def test_max_n_env_must_be_an_integer(run, monkeypatch):
-    monkeypatch.setenv("GAUSSDET_MAX_N", "many")
-    assert run("verify-u", "--n", "2")[0] == 2
 
 
 def test_failed_check_exits_one_with_counterexample(run, monkeypatch):

@@ -171,6 +171,16 @@ def test_principal_minors_match_factored_truncations(eta):
             assert minor_value(n, eta, idx) == factored_determinant(m).evaluate(eta)
 
 
+def test_count_in_the_size_refusal_is_exact_to_n_64_and_a_lower_bound_beyond():
+    # above n = 64 C(2n, n) is neither computed nor printed
+    limit = "; the all-minors probe is limited to n <= 8"
+    for n, count in [(64, f"= {comb(128, 64) - 1:,}"), (65, ">= 2^65")]:
+        with pytest.raises(ValueError) as refused:
+            all_minors_positive(n, HALF)
+        assert str(refused.value) == f"n = {n} would evaluate C({2 * n}, {n}) - 1 {count} minors{limit}"
+    assert all(comb(2 * n, n) - 1 >= 2 ** n for n in range(9, 200))
+
+
 def test_all_minors_positive_validation():
     with pytest.raises(ValueError):
         all_minors_positive(0, HALF)
