@@ -18,7 +18,6 @@ from .multisets import (
     verify_identity,
 )
 from .neville import (
-    SymMatrix,
     brute_force_det,
     diagonal_product,
     neville_eliminate,
@@ -55,7 +54,6 @@ __all__ = [
     "identity_param_names",
     "lift_duality",
     "verify_identity",
-    "SymMatrix",
     "brute_force_det",
     "diagonal_product",
     "neville_eliminate",

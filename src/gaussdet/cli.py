@@ -39,11 +39,10 @@ from .multisets import (
 from .neville import (
     ORACLE_MAX_N,
     brute_force_det,
-    build_covariance,
     diagonal_product,
     neville_eliminate,
 )
-from .tpprobe import all_minors_positive
+from .tpprobe import MinorIndex, all_minors_positive
 
 SCHEMA_VERSION = "1"
 
@@ -214,7 +213,8 @@ def _det_entry(n: int, oracle_bound: int, blocks) -> tuple[bool, dict]:
     if not ok:
         entry["diagonal"] = str(diagonal)
     if n <= oracle_bound:
-        oracle = brute_force_det(build_covariance(n))
+        points = range(1, n + 1)
+        oracle = brute_force_det(MinorIndex(points, points))
         oracle_ok = oracle == expansion
         entry["oracle_matches"] = bool(oracle_ok)
         if not oracle_ok:

@@ -15,61 +15,24 @@ above the stage keep the pivot row they had when they froze, entries left of
 the stage are zero, and the block is symmetric, so nothing else is computed.
 Entries are integer polynomials (``EtaPoly``), whose ``/`` is exact
 division: every multiplier divides exactly, and one that does not is an
-ArithmeticError naming its stage, row and column.  Matrices and blocks are
-immutable once built, so they can be shared freely across threads.
+ArithmeticError naming its stage, row and column.  Blocks are immutable once
+built, so they can be shared freely across threads.  ``brute_force_det`` is
+the independent oracle: the Leibniz sum of any minor of the matrix.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .exact import EtaPoly
+from .tpprobe import MinorIndex
 
-# Largest matrix size the Leibniz oracle accepts: its walk still visits all
-# 8! = 40,320 permutations, though each prefix product is shared.
+# Largest minor order the Leibniz oracle accepts: its walk still visits all
+# 8! = 40,320 permutations, though each prefix exponent is shared.
 ORACLE_MAX_N = 8
 
 # The upper half of a stage's active block, in z: row r holds Q(s, s+r, j) for j >= s+r.
 Block = tuple[tuple[EtaPoly, ...], ...]
-
-
-class SymMatrix:
-    """Square matrix of integer eta-polynomials (``EtaPoly``): the Leibniz oracle's input.
-
-    An entry of any other type (``int``, ``Fraction``, ``float`` and
-    ``bool`` among them) is a ``TypeError``.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Sequence[Sequence[EtaPoly]]) -> None:
-        rows = tuple(map(tuple, rows))
-        for row in rows:
-            for entry in row:
-                if not isinstance(entry, EtaPoly):
-                    raise TypeError(f"EtaPoly matrix entry expected, got {type(entry).__name__}")
-        if not rows or any(len(r) != len(rows) for r in rows):
-            raise ValueError("a nonempty square matrix is required")
-        self._rows = rows
-
-    @property
-    def size(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> tuple[tuple[EtaPoly, ...], ...]:
-        return self._rows
-
-
-def build_covariance(n: int) -> SymMatrix:
-    """The symbolic n x n matrix with entry (i, j) = eta^((i-j)^2), stage 1 of the elimination.
-
-    This is V / sigma_z^2; the full determinant is sigma_z^(2n) times its
-    determinant.
-    """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return SymMatrix([[EtaPoly.monomial((i - j) ** 2) for j in range(n)] for i in range(n)])
 
 
 def neville_eliminate(n: int) -> Iterator[Block]:
@@ -120,44 +83,33 @@ def diagonal_product(blocks: Iterable[Block]) -> EtaPoly:
     return product.in_eta()
 
 
-def brute_force_det(v: SymMatrix) -> EtaPoly:
-    """Leibniz-sum determinant: exact and independent of elimination.
+def brute_force_det(idx: MinorIndex) -> EtaPoly:
+    """Leibniz-sum determinant of one covariance minor: exact and independent of elimination.
 
-    A depth-first walk over the rows visits every one of the n! permutations,
-    choosing one unused column per row.  The partial product of each prefix
-    is computed once and shared by every permutation that extends it, and
-    the sign flips whenever the chosen column sits at an odd position among
-    the columns still unused (the inversions that choice adds).  Each entry
-    is read once as sparse (exponent, coefficient) terms, so a zero entry
-    has none and its subtree is skipped.  A product step adds exponents and
-    multiplies coefficients, so on monomial entries (the covariance's) the
-    walk has n! leaves, and an entry of t terms multiplies the leaves below
-    it by t.  Every signed term goes into one exponent -> coefficient table,
-    which becomes the resulting ``EtaPoly``.  The factorial cost is capped
-    at ORACLE_MAX_N.
+    The minor is the submatrix [eta^((i-j)^2)] for i in ``idx.rows`` and j in
+    ``idx.cols``.  A depth-first walk over its rows visits every one of the
+    k! permutations, choosing one unused column per row.  Every entry is a
+    monomial with coefficient 1, so a step adds (i-j)^2 to the exponent of
+    the prefix, shared by every permutation that extends it, and the sign
+    flips whenever the chosen column sits at an odd position among the
+    columns still unused (the inversions that choice adds).  Each leaf adds
+    its sign to the coefficient of its exponent.  The factorial cost is
+    capped at ORACLE_MAX_N.
     """
-    n = v.size
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"matrix size {n} exceeds the Leibniz oracle limit {ORACLE_MAX_N}")
-    terms = [[tuple(entry.terms()) for entry in row] for row in v.rows]
-    table: dict[int, int] = {}
+    k = idx.size
+    if k > ORACLE_MAX_N:
+        raise ValueError(f"matrix size {k} exceeds the Leibniz oracle limit {ORACLE_MAX_N}")
+    exponents = [[(i - j) ** 2 for j in idx.cols] for i in idx.rows]
+    coeffs = [0] * (sum(map(max, exponents)) + 1)
+    last = exponents[-1]
 
-    def walk(i: int, free: tuple[int, ...], exponent: int, coeff: int) -> None:
-        row = terms[i]
-        if i == n - 1:
-            for k, c in row[free[0]]:
-                table[exponent + k] = table.get(exponent + k, 0) + coeff * c
+    def walk(i: int, free: tuple[int, ...], exponent: int, sign: int) -> None:
+        if i == k - 1:
+            coeffs[exponent + last[free[0]]] += sign
             return
+        row = exponents[i]
         for p, col in enumerate(free):
-            entry = row[col]
-            if entry:
-                rest = free[:p] + free[p + 1:]
-                signed = -coeff if p & 1 else coeff
-                for k, c in entry:
-                    walk(i + 1, rest, exponent + k, signed * c)
+            walk(i + 1, free[:p] + free[p + 1:], exponent + row[col], -sign if p & 1 else sign)
 
-    walk(0, tuple(range(n)), 0, 1)
-    coeffs = [0] * (max(table, default=-1) + 1)
-    for k, c in table.items():
-        coeffs[k] = c
+    walk(0, tuple(range(k)), 0, 1)
     return EtaPoly(coeffs)

@@ -52,6 +52,11 @@ class MinorIndex:
             if idx[0] < 1:
                 raise ValueError(f"{name} must be >= 1, got {idx}")
 
+    @property
+    def size(self) -> int:
+        """The order of the minor: how many rows (and columns) it selects."""
+        return len(self.rows)
+
 
 @dataclass(frozen=True)
 class TpReport:

@@ -1,4 +1,4 @@
-"""The tests' oracles: generic elimination, the Leibniz sum and Bareiss minors.
+"""The tests' oracles: the covariance rows, generic elimination, the Leibniz sum and Bareiss minors.
 
 ``gaussdet.neville_eliminate`` eliminates only the covariance, in z = eta^2,
 and yields the upper half of each stage's active block.
@@ -7,13 +7,13 @@ records every stage of the whole n x n matrix, for the rows of any square
 matrix over an exact ring with exact ``/`` (``EtaPoly`` or ``Fraction``), so
 it checks the symbolic kernel entry by entry (each block entry read in eta,
 and the frozen rows and zeros around the block) and, on the covariance at a
-rational eta, the symbolic stages evaluated there.  ``build_covariance``,
-the kernel's input as a matrix, is ``gaussdet.neville``'s.
-``leibniz_det`` is the plain Leibniz sum that
-``gaussdet.brute_force_det``'s prefix-sharing walk replaced, kept as the
-reference for that walk.  ``bareiss_det`` and ``minor_value`` evaluate one
-minor from scratch by fraction-free elimination, the oracle of
-``gaussdet.all_minors_positive`` and its Laplace kernel.
+rational eta, the symbolic stages evaluated there.  ``covariance_rows``
+builds its input, the entries eta^((i-j)^2) over row and column points.
+``leibniz_det`` is the plain Leibniz sum of any square rows, the reference
+for ``gaussdet.brute_force_det``'s prefix-sharing walk over a minor's index
+sets.  ``bareiss_det`` and ``minor_value`` evaluate one minor from scratch
+by fraction-free elimination, the oracle of ``gaussdet.all_minors_positive``
+and its Laplace kernel.
 """
 
 from __future__ import annotations
@@ -21,8 +21,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from gaussdet.neville import build_covariance  # noqa: F401  (re-exported to the tests)
+from gaussdet.exact import EtaPoly
 from gaussdet.tpprobe import MinorIndex, _validate_eta
+
+
+def covariance_rows(rows, cols) -> tuple:
+    """The rows of the covariance entries eta^((i-j)^2) for i in rows and j in cols, as ``EtaPoly``."""
+    return tuple(tuple(EtaPoly.monomial((i - j) ** 2) for j in cols) for i in rows)
 
 
 class ZeroPivotError(ArithmeticError):

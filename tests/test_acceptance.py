@@ -29,8 +29,8 @@ from gaussdet.multisets import (
     lift_duality,
     verify_identity,
 )
-from gaussdet.neville import brute_force_det, build_covariance, diagonal_product, neville_eliminate
-from gaussdet.tpprobe import all_minors_positive
+from gaussdet.neville import brute_force_det, diagonal_product, neville_eliminate
+from gaussdet.tpprobe import MinorIndex, all_minors_positive
 
 TP_ETAS = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
@@ -62,7 +62,8 @@ def test_criterion_2_determinant_factorization_three_way():
         expansion = factored_determinant(n).expand()
         ok = ok and diagonal_product(symbolic_trace(n)) == expansion
         if n <= 6:
-            ok = ok and brute_force_det(build_covariance(n)) == expansion
+            points = range(1, n + 1)
+            ok = ok and brute_force_det(MinorIndex(points, points)) == expansion
     ok = ok and str(factored_determinant(3).expand()) == "1 - 2*eta^2 + 2*eta^6 - eta^8"
     report("2 determinant factorization (3-way n<=6, 2-way n<=10)", ok)
 

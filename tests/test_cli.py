@@ -705,9 +705,9 @@ def _mismatch_at_n4(real):
 def _oracle_off_by_eta_at_n3(real):
     from gaussdet.exact import EtaPoly
 
-    def broken(matrix):
-        det = real(matrix)
-        return det + EtaPoly.monomial(1) if matrix.size == 3 else det
+    def broken(idx):
+        det = real(idx)
+        return det + EtaPoly.monomial(1) if idx.size == 3 else det
 
     return broken
 

@@ -26,10 +26,10 @@ from gaussdet.closedform import (
 from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
     brute_force_det,
-    build_covariance,
     diagonal_product,
     neville_eliminate,
 )
+from gaussdet.tpprobe import MinorIndex
 from matrix_elimination import bareiss_det
 from test_exact import series_one_minus_exp
 
@@ -387,7 +387,8 @@ def test_three_equivalent_factor_products(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_factored_equals_leibniz_and_diagonal(n):
     expansion = factored_determinant(n).expand()
-    assert brute_force_det(build_covariance(n)) == expansion
+    points = range(1, n + 1)
+    assert brute_force_det(MinorIndex(points, points)) == expansion
     assert diagonal_product(neville_eliminate(n)) == expansion
 
 

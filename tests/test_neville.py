@@ -1,26 +1,36 @@
-"""Covariance construction, the streamed elimination blocks, and determinant oracles."""
+"""The covariance rows, the streamed elimination blocks, and determinant oracles."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gaussdet.closedform import factored_determinant
 from gaussdet.exact import EtaPoly, poly_h
 from gaussdet.neville import (
     ORACLE_MAX_N,
-    SymMatrix,
     brute_force_det,
     diagonal_product,
     neville_eliminate,
 )
-from matrix_elimination import ZeroPivotError, build_covariance, eliminate_matrix, leibniz_det
+from gaussdet.tpprobe import MinorIndex
+from matrix_elimination import ZeroPivotError, covariance_rows, eliminate_matrix, leibniz_det
 
 HALF = Fraction(1, 2)
 
 
 def symbolic(n):
-    return build_covariance(n)
+    """The rows eta^((i-j)^2) of the n-point covariance."""
+    points = range(1, n + 1)
+    return covariance_rows(points, points)
+
+
+def whole(n):
+    """The index sets of the whole n-point matrix: the Leibniz oracle's input for its determinant."""
+    points = range(1, n + 1)
+    return MinorIndex(points, points)
 
 
 def numeric(n, eta):
@@ -73,22 +83,7 @@ def eta_stages(blocks, n):
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
-        build_covariance(**kwargs)
-    with pytest.raises(ValueError):
         next(neville_eliminate(**kwargs))
-
-
-def test_build_two_points():
-    v = symbolic(2)
-    assert v.rows == ((mono(0), mono(1)), (mono(1), mono(0)))
-
-
-def test_build_three_points():
-    v = symbolic(3)
-    assert v.rows[0][2] == mono(4)
-    assert v.rows[1][2] == mono(1)
-    assert v.rows[1][1] == 1
-    assert v.rows == tuple(zip(*v.rows))
 
 
 def test_build_three_points_numeric():
@@ -98,25 +93,7 @@ def test_build_three_points_numeric():
         (HALF, Fraction(1), HALF),
         (Fraction(1, 16), HALF, Fraction(1)),
     )
-    assert v == at(symbolic(3).rows, HALF)
-
-
-def test_matrix_must_be_square():
-    with pytest.raises(ValueError):
-        SymMatrix([[mono(0), mono(1)], [mono(1), mono(0)], [mono(4), mono(1)]])
-    with pytest.raises(ValueError):
-        SymMatrix([[mono(0), mono(1)], [mono(1)]])
-    with pytest.raises(ValueError):
-        SymMatrix([])
-
-
-def test_matrix_entries_must_be_eta_polynomials():
-    # a constant is EtaPoly((c,)); an int, a rational, a float or a bool is refused
-    for bad in (1, Fraction(1, 2), 1.5, True):
-        with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
-            SymMatrix([[bad]])
-        with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
-            SymMatrix([[mono(0), mono(1)], [mono(1), bad]])
+    assert v == at(symbolic(3), HALF)
 
 
 # -- elimination --------------------------------------------------------------------
@@ -148,8 +125,8 @@ def test_three_point_final_pivot_factors():
 def test_first_stage_is_the_input():
     v = symbolic(4)
     assert next(neville_eliminate(4)) == tuple((EtaPoly.one(),) * (4 - r) for r in range(4))
-    assert eta_stages(neville_eliminate(4), 4)[0] == v.rows
-    assert eliminate_matrix(v.rows)[0] == v.rows
+    assert eta_stages(neville_eliminate(4), 4)[0] == v
+    assert eliminate_matrix(v)[0] == v
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -186,64 +163,66 @@ def test_diagonal_product_small_cases():
 
 
 def test_brute_force_small_cases():
-    assert brute_force_det(symbolic(2)) == poly_h(1)
-    assert brute_force_det(symbolic(3)) == poly_h(1) * poly_h(1) * poly_h(2)
-    assert brute_force_det(symbolic(3))(HALF) == Fraction(135, 256) == leibniz_det(numeric(3, HALF))
+    assert brute_force_det(whole(2)) == poly_h(1)
+    assert brute_force_det(whole(3)) == poly_h(1) * poly_h(1) * poly_h(2)
+    assert brute_force_det(whole(3))(HALF) == Fraction(135, 256) == leibniz_det(numeric(3, HALF))
 
 
 def test_brute_force_respects_size_bound():
     with pytest.raises(ValueError, match="exceeds the Leibniz oracle limit 8"):
-        brute_force_det(symbolic(9))
-    assert brute_force_det(symbolic(4)) == diagonal_product(neville_eliminate(4))
+        brute_force_det(whole(9))
+    assert brute_force_det(whole(4)) == diagonal_product(neville_eliminate(4))
 
 
 @pytest.mark.parametrize("n", range(1, ORACLE_MAX_N + 1))
 def test_oracle_agreement_symbolic(n):
-    assert diagonal_product(neville_eliminate(n)) == brute_force_det(symbolic(n))
+    assert diagonal_product(neville_eliminate(n)) == brute_force_det(whole(n))
 
 
 # -- the Leibniz walk against the term-by-term Leibniz sum ---------------------------
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_leibniz_walk_matches_the_plain_sum_on_every_stage(n):
-    # the stage entries have many terms and negative coefficients, and a whole
-    # stage also has zero entries below its frozen rows
-    for s, stage in enumerate(eta_stages(neville_eliminate(n), n), 1):
-        active = SymMatrix(row[s - 1:] for row in stage[s - 1:])
-        for matrix in (SymMatrix(stage), active):
-            det = brute_force_det(matrix)
-            assert type(det) is EtaPoly
-            assert det == leibniz_det(matrix.rows)
+def test_leibniz_walk_matches_the_plain_sum_on_every_minor_up_to_five():
+    # every (rows, cols) pair of the 5-point matrix, most with rows != cols,
+    # compared as polynomials
+    points = range(1, 6)
+    for k in points:
+        for rows in itertools.combinations(points, k):
+            for cols in itertools.combinations(points, k):
+                det = brute_force_det(MinorIndex(rows, cols))
+                assert type(det) is EtaPoly
+                assert det == leibniz_det(covariance_rows(rows, cols))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_leibniz_walk_matches_the_plain_sum_on_rationals(seed):
-    # random sparse polynomials with signed coefficients, and zero entries;
-    # the walk's determinant, evaluated at a rational eta, is the plain sum
-    # of the entries evaluated there
+    # random minors of orders 1..6 of the 8-point matrix, rows and columns
+    # drawn apart: the walk's determinant, evaluated at a rational eta, is
+    # the plain sum of the entries evaluated there
     rng = random.Random(seed)
-    sparse = [EtaPoly((rng.randint(-3, 3), 0, rng.randint(-3, 3))) * mono(k) for k in range(4)]
-    values = [EtaPoly.zero()] * 4 + sparse + [mono(1), EtaPoly((-2,))]
-    for n in range(1, 7):
-        matrix = SymMatrix([[rng.choice(values) for _ in range(n)] for _ in range(n)])
-        det = brute_force_det(matrix)
-        assert type(det) is EtaPoly
+    points = range(1, ORACLE_MAX_N + 1)
+    for k in range(1, 7):
+        rows, cols = sorted(rng.sample(points, k)), sorted(rng.sample(points, k))
+        det = brute_force_det(MinorIndex(rows, cols))
         for eta in (Fraction(1, 7), HALF, Fraction(-3, 2)):
-            assert det(eta) == leibniz_det(at(matrix.rows, eta))
+            assert det(eta) == leibniz_det(at(covariance_rows(rows, cols), eta))
 
 
-def test_leibniz_walk_of_a_zero_row_is_the_zero_of_its_type():
-    zero = EtaPoly.zero()
-    symbolic_zero_row = SymMatrix([[mono(1), EtaPoly((1, -2))], [zero, zero]])
-    det = brute_force_det(symbolic_zero_row)
-    assert type(det) is EtaPoly and det == zero == leibniz_det(symbolic_zero_row.rows)
-
-
-def test_leibniz_walk_of_one_entry_is_that_entry():
-    for entry in (EtaPoly((1, 0, -3)), EtaPoly.zero(), EtaPoly((-3,)), mono(4)):
-        det = brute_force_det(SymMatrix([[entry]]))
-        assert type(det) is EtaPoly and det == entry == leibniz_det(((entry,),))
+def test_leibniz_walk_of_every_contiguous_minor_is_a_shifted_factored_determinant():
+    # rows r..r+k-1 and columns c..c+k-1, d = r - c: entry (a, b) is
+    # eta^((d+a-b)^2) = eta^(d^2) * eta^(2da) * eta^(-2db) * eta^((a-b)^2), and
+    # the row factors cancel the column factors in the determinant, so the
+    # minor is eta^(k d^2) times the k-point determinant
+    n = ORACLE_MAX_N
+    checked = 0
+    for k in range(1, n + 1):
+        expansion = factored_determinant(k).expand()
+        for r in range(1, n - k + 2):
+            for c in range(1, n - k + 2):
+                idx = MinorIndex(range(r, r + k), range(c, c + k))
+                assert brute_force_det(idx) == mono(k * (r - c) ** 2) * expansion
+                checked += 1
+    assert checked == 204
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -296,7 +275,7 @@ def test_every_stage_entry_equals_the_matrix_elimination(n):
     # each block entry, read in eta as eta^((i-j)^2) * Q(z), is the whole
     # matrix's stage entry (i, j) and (j, i); the rows above the stage are
     # the pivot rows they froze with, and the rest is zero
-    oracle = eliminate_matrix(symbolic(n).rows)
+    oracle = eliminate_matrix(symbolic(n))
     assert len(oracle) == n
     assert eta_stages(neville_eliminate(n), n) == oracle
 

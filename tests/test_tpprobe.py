@@ -13,8 +13,8 @@ from gaussdet.closedform import (
     superfactorial,
     verify_closed_form,
 )
-from gaussdet.exact import EtaPoly, poly_h
-from gaussdet.neville import SymMatrix, brute_force_det, neville_eliminate
+from gaussdet.exact import poly_h
+from gaussdet.neville import brute_force_det, neville_eliminate
 from gaussdet.tpprobe import MinorIndex, _laplace_minors, all_minors_positive
 from matrix_elimination import bareiss_det, minor_value
 
@@ -90,9 +90,8 @@ def test_minor_value_validates_eta_and_method():
 
 
 def leibniz_minor(eta, idx):
-    """The minor by neville's Leibniz walk over entries eta^((i-j)^2) built here, evaluated at eta."""
-    matrix = SymMatrix([[EtaPoly.monomial((i - j) ** 2) for j in idx.cols] for i in idx.rows])
-    return brute_force_det(matrix)(eta)
+    """The minor by neville's Leibniz walk over its index sets, evaluated at eta."""
+    return brute_force_det(idx)(eta)
 
 
 @pytest.mark.parametrize("eta", [Fraction(1, 10), HALF, Fraction(9, 10)])
