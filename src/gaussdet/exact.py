@@ -1,7 +1,9 @@
 """Exact integer polynomial arithmetic.
 
 ``EtaPoly`` is a dense univariate polynomial in the formal variable eta with
-``int`` coefficients, whose ``/`` is exact division; it is immutable.
+``int`` coefficients, whose ``/`` is exact division; it is immutable.  Its
+operators take ``EtaPoly`` operands only: an ``int`` operand is a
+``TypeError``, and an ``EtaPoly`` never equals an ``int``.
 
 Every stage entry of the elimination is an integer polynomial: each row's
 multiplier, its entry over the pivot, is a power of eta times a Gaussian
@@ -145,6 +147,9 @@ class EtaPoly:
     e.g. ``1 - 2*eta^2 + 2*eta^6 - eta^8``.  ``/`` is exact division, so a
     divisor that leaves a remainder or a fractional coefficient raises
     ``ArithmeticError``; elimination stage entries are these polynomials.
+    ``+``, ``-``, ``*``, ``/`` and ``==`` take ``EtaPoly`` operands only, so
+    a constant is written ``EtaPoly((c,))``: ``p * 2`` and ``1 - p`` raise
+    ``TypeError`` and ``EtaPoly((1,)) == 1`` is False.
     """
 
     __slots__ = ("_coeffs",)
@@ -175,13 +180,6 @@ class EtaPoly:
     @classmethod
     def one(cls) -> "EtaPoly":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, exponent: int) -> "EtaPoly":
-        """The single term eta^exponent."""
-        if type(exponent) is not int or exponent < 0:
-            raise ValueError(f"monomial exponent must be an integer >= 0, got {exponent!r}")
-        return cls((0,) * exponent + (1,))
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -222,44 +220,24 @@ class EtaPoly:
 
     # -- ring arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "EtaPoly | None":
-        if isinstance(value, EtaPoly):
-            return value
-        if type(value) is int:
-            return EtaPoly((value,))
-        return None
-
     def __add__(self, other):
-        other = EtaPoly._coerce(other)
-        if other is None:
+        if not isinstance(other, EtaPoly):
             return NotImplemented
         return EtaPoly._of(map(operator.add, *_padded(self._coeffs, other._coeffs)))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return EtaPoly._of(-c for c in self._coeffs)
 
     def __sub__(self, other):
-        other = EtaPoly._coerce(other)
-        if other is None:
+        if not isinstance(other, EtaPoly):
             return NotImplemented
         return EtaPoly._of(map(operator.sub, *_padded(self._coeffs, other._coeffs)))
-
-    def __rsub__(self, other):
-        other = EtaPoly._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def _scaled(self, c: int) -> "EtaPoly":
         """c * self, for an int c."""
         return self if c == 1 else EtaPoly._of(c * x for x in self._coeffs)
 
     def __mul__(self, other):
-        if type(other) is int:
-            return self._scaled(other)
         if not isinstance(other, EtaPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -283,11 +261,8 @@ class EtaPoly:
                         out[i + j] += ci * cj
         return EtaPoly._of(out)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = EtaPoly._coerce(other)
-        if other is None:
+        if not isinstance(other, EtaPoly):
             return NotImplemented
         return _exact_quotient(self, other)
 
@@ -304,14 +279,11 @@ class EtaPoly:
     # -- structure ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = EtaPoly._coerce(other)
-        if other is None:
+        if not isinstance(other, EtaPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        if len(self._coeffs) <= 1:
-            return hash(self._coeffs[0] if self._coeffs else 0)
         return hash(self._coeffs)
 
     def __str__(self) -> str:

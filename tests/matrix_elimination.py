@@ -8,7 +8,8 @@ matrix over an exact ring with exact ``/`` (``EtaPoly`` or ``Fraction``), so
 it checks the symbolic kernel entry by entry (each block entry read in eta,
 and the frozen rows and zeros around the block) and, on the covariance at a
 rational eta, the symbolic stages evaluated there.  ``covariance_rows``
-builds its input, the entries eta^((i-j)^2) over row and column points.
+builds its input, the entries eta^((i-j)^2) over row and column points, each
+a ``monomial``.
 ``leibniz_det`` is the plain Leibniz sum of any square rows, the reference
 for ``gaussdet.brute_force_det``'s prefix-sharing walk over a minor's index
 sets.  ``bareiss_det`` and ``minor_value`` evaluate one minor from scratch
@@ -25,9 +26,14 @@ from gaussdet.exact import EtaPoly
 from gaussdet.tpprobe import MinorIndex, _validate_eta
 
 
+def monomial(exponent: int) -> EtaPoly:
+    """The single term eta^exponent."""
+    return EtaPoly((0,) * exponent + (1,))
+
+
 def covariance_rows(rows, cols) -> tuple:
     """The rows of the covariance entries eta^((i-j)^2) for i in rows and j in cols, as ``EtaPoly``."""
-    return tuple(tuple(EtaPoly.monomial((i - j) ** 2) for j in cols) for i in rows)
+    return tuple(tuple(monomial((i - j) ** 2) for j in cols) for i in rows)
 
 
 class ZeroPivotError(ArithmeticError):
@@ -54,7 +60,7 @@ def eliminate_matrix(rows) -> tuple:
     stages = [current]
     for s in range(1, n):
         pivot = current[s - 1][s - 1]
-        if pivot == 0:
+        if not pivot:
             raise ZeroPivotError(s)
         zero = pivot - pivot  # additive zero of the entries
         nxt = [list(row) for row in current]

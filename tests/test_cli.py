@@ -135,6 +135,20 @@ def test_oversized_leibniz_oracle_is_refused_before_work(run, argv, n):
     assert report["elapsed_ms"] < 1000
 
 
+@pytest.mark.parametrize("argv", [("verify-det", "--n", "3"), ("verify-all",)])
+def test_oracle_bound_below_one_is_refused_before_work(run, monkeypatch, argv):
+    forbid_checks(monkeypatch)
+    message = "--oracle-bound must be >= 1, got 0"
+    code, out, err = run(*argv, "--oracle-bound", "0")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    code, report = run_json(run, *argv, "--oracle-bound", "0")
+    assert code == 2
+    assert report["outcome"] == "error"
+    assert report["details"]["error"] == message
+
+
 def test_oracle_bound_above_the_cap_is_fine_when_n_is_small(run):
     code, report = run_json(run, "verify-det", "--n", "3", "--oracle-bound", "12")
     assert code == 0
@@ -253,7 +267,7 @@ def test_multiset_above_the_limit_is_refused_before_work(run, monkeypatch):
 
 
 def test_multiset_below_the_limit_runs(run):
-    # 4,320,000 estimated additions over three terms; listing them would take ~10^19 elements
+    # 4,248,900 estimated additions over three terms; listing them would take ~10^19 elements
     code, report = run_json(run, "multiset", "--identity", "MI1", "--params", "30,0,1,40")
     assert code == 0
     assert report["details"]["equal"] is True
@@ -650,12 +664,13 @@ def test_failed_check_exits_one_with_counterexample(run, monkeypatch):
 
 def test_inexact_elimination_quotient_exits_one_naming_the_entry(run, monkeypatch):
     from gaussdet.exact import EtaPoly
+    from matrix_elimination import monomial
 
     # every quotient of the elimination divides by its pivot plus z, which
     # leaves a remainder at the first entry of stage 2
     exact_division = EtaPoly.__truediv__
     monkeypatch.setattr(EtaPoly, "__truediv__",
-                        lambda a, b: exact_division(a, b + EtaPoly.monomial(1)))
+                        lambda a, b: exact_division(a, b + monomial(1)))
     code, out, _ = run("verify-det", "--n", "2", "--format", "json")
     assert code == 1
     report = json.loads(out)
@@ -703,11 +718,11 @@ def _mismatch_at_n4(real):
 
 
 def _oracle_off_by_eta_at_n3(real):
-    from gaussdet.exact import EtaPoly
+    from matrix_elimination import monomial
 
     def broken(idx):
         det = real(idx)
-        return det + EtaPoly.monomial(1) if idx.size == 3 else det
+        return det + monomial(1) if idx.size == 3 else det
 
     return broken
 

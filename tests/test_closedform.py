@@ -30,7 +30,7 @@ from gaussdet.neville import (
     neville_eliminate,
 )
 from gaussdet.tpprobe import MinorIndex
-from matrix_elimination import bareiss_det
+from matrix_elimination import bareiss_det, monomial
 from test_exact import series_one_minus_exp
 
 
@@ -119,8 +119,8 @@ def test_ai2_rejects_out_of_range():
 
 
 def test_closed_form_first_stage_is_plain_power():
-    assert closed_form_u(1, 2, 3, 4) == EtaPoly.monomial(1)
-    assert closed_form_u(1, 1, 4, 4) == EtaPoly.monomial(9)
+    assert closed_form_u(1, 2, 3, 4) == monomial(1)
+    assert closed_form_u(1, 1, 4, 4) == monomial(9)
 
 
 def test_closed_form_matches_hand_elimination():
@@ -138,7 +138,7 @@ def test_closed_form_diagonal_is_h_product():
 
 def test_closed_form_frozen_rows():
     # row 1 froze at stage 1, row 2 at stage 2
-    assert closed_form_u(3, 1, 3, 3) == EtaPoly.monomial(4)
+    assert closed_form_u(3, 1, 3, 3) == monomial(4)
     assert closed_form_u(3, 2, 1, 3) == EtaPoly.zero()
     assert closed_form_u(4, 2, 3, 4) == closed_form_u(2, 2, 3, 4)
 
@@ -176,8 +176,8 @@ def test_closed_form_stage_two_row_matches_geometric_display():
             for j in range(2, n + 1):
                 direct = EtaPoly.zero()
                 for k in range(i - 1):
-                    direct = direct + EtaPoly.monomial(2 * (k * (j - 2) + k))
-                direct = EtaPoly.monomial((i - j) ** 2) * poly_h(j - 1) * direct
+                    direct = direct + monomial(2 * (k * (j - 2) + k))
+                direct = monomial((i - j) ** 2) * poly_h(j - 1) * direct
                 assert closed_form_u(2, i, j, n) == direct
 
 
@@ -204,7 +204,7 @@ def test_verify_closed_form_accepts_precomputed_trace():
 def test_verify_closed_form_reports_first_mismatch():
     # blocks whose input has eta^3 for eta at the first off-diagonal entry:
     # Q(1, 1, 2) is z, not 1
-    one, z = EtaPoly.one(), EtaPoly.monomial(1)
+    one, z = EtaPoly.one(), monomial(1)
     wrong = (((one, z), (one,)), ((EtaPoly((1, 0, -1)),),))
     report = verify_closed_form(2, blocks=wrong)
     assert not report.agree
@@ -285,7 +285,7 @@ def test_the_lower_half_is_compared_with_its_own_closed_form(monkeypatch):
     report = verify_closed_form(5)
     assert report.first_mismatch == (3, 5, 4)
     assert report.actual == str(closed_form_u(3, 4, 5, 5))
-    assert report.expected == str(closed_form_u(3, 5, 4, 5) + EtaPoly.monomial(1))
+    assert report.expected == str(closed_form_u(3, 5, 4, 5) + monomial(1))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -306,11 +306,11 @@ def _planted(blocks, *plants):
     "plants, mismatch",
     [
         # a pivot row at stage 3 (row 3, column 5), read as a frozen row by stages 4..6
-        (((3, 0, 2, EtaPoly.monomial(2)),), (3, 3, 5)),
+        (((3, 0, 2, monomial(2)),), (3, 3, 5)),
         # the pivot row's diagonal at stage 4
         (((4, 0, 0, EtaPoly.one()),), (4, 4, 4)),
         # an upper off-diagonal entry, also read mirrored at (2, 5, 3)
-        (((2, 1, 2, -EtaPoly.monomial(1)),), (2, 3, 5)),
+        (((2, 1, 2, -monomial(1)),), (2, 3, 5)),
         # the last stage
         (((6, 0, 0, EtaPoly((0, 3))),), (6, 6, 6)),
         # two plants: the first in (stage, row, column) order is reported

@@ -8,13 +8,14 @@ from hypothesis import given, strategies as st
 
 from gaussdet import exact
 from gaussdet.exact import EtaPoly, poly_h
+from matrix_elimination import monomial
 
 polys = st.builds(EtaPoly, st.lists(st.integers(-30, 30), max_size=31))
 nonzero_polys = polys.filter(bool)
 
 
 H1 = poly_h(1)  # 1 - eta^2
-ETA = EtaPoly.monomial(1)
+ETA = monomial(1)
 
 
 # -- poly_h ------------------------------------------------------------------
@@ -53,13 +54,13 @@ def test_addition_cancels_to_constant():
 
 def test_multiplication_by_zero_absorbs():
     assert H1 * EtaPoly.zero() == EtaPoly.zero()
-    assert not (H1 * 0)
+    assert not (EtaPoly.zero() * H1)
 
 
 def test_scalar_and_power_arithmetic():
     # a power is a repeated product; there is no ** operator
-    assert 2 * ETA == EtaPoly((0, 2))
-    assert ETA * ETA * ETA == EtaPoly.monomial(3)
+    assert EtaPoly((2,)) * ETA == EtaPoly((0, 2))
+    assert ETA * ETA * ETA == monomial(3)
     assert H1 * H1 == EtaPoly((1, 0, -2, 0, 1))
     with pytest.raises(TypeError):
         H1 ** 2
@@ -67,16 +68,17 @@ def test_scalar_and_power_arithmetic():
 
 @given(polys, st.integers(0, 40), st.integers(-30, 30))
 def test_monomial_and_constant_operands_shift_and_scale(p, k, c):
-    assert EtaPoly.monomial(k) * p == p._shifted(k) == p * EtaPoly.monomial(k)
-    assert EtaPoly((c,)) * p == c * p == p * EtaPoly((c,))
-    assert c * p == EtaPoly([c * x for x in p.coefficients])
+    assert monomial(k) * p == p._shifted(k) == p * monomial(k)
+    assert EtaPoly((c,)) * p == p * EtaPoly((c,)) == EtaPoly([c * x for x in p.coefficients])
 
 
-@pytest.mark.parametrize("exponent", [True, 2.0, Fraction(2)])
-def test_monomial_refuses_a_non_int_exponent(exponent):
-    # True would pass as the exponent 1 and return eta
-    with pytest.raises(ValueError, match="monomial exponent"):
-        EtaPoly.monomial(exponent)
+def test_int_operands_are_refused():
+    p = EtaPoly((1, 1))
+    for operation in (lambda: 1 - p, lambda: p + 1, lambda: 2 * p, lambda: p / 1):
+        with pytest.raises(TypeError):
+            operation()
+    assert (p == 1) is False
+    assert (EtaPoly.one() == 1) is False and (EtaPoly.zero() == 0) is False
 
 
 @pytest.mark.parametrize("shift", [True, 1.0, Fraction(1)])
@@ -151,16 +153,16 @@ def test_non_int_coefficients_raise_type_error(bad):
 
 def test_coefficients_are_the_stored_ints():
     assert poly_h(2).coefficients == (1, 0, 0, 0, -1)
-    assert all(type(c) is int for c in (H1 * 3).coefficients)
+    assert all(type(c) is int for c in (H1 * EtaPoly((3,))).coefficients)
     assert EtaPoly.one() != Fraction(1)
 
 
 def test_in_eta_reads_a_z_polynomial_in_eta():
     q = EtaPoly((1, -2, 0, 3))  # 1 - 2z + 3z^3
     assert q.in_eta() == EtaPoly((1, 0, -2, 0, 0, 0, 3))
-    assert q.in_eta(3) == EtaPoly.monomial(3) * q.in_eta()
+    assert q.in_eta(3) == monomial(3) * q.in_eta()
     # h_q read in z is poly_h(q)
-    assert (1 - EtaPoly.monomial(2)).in_eta() == poly_h(2)
+    assert (EtaPoly.one() - monomial(2)).in_eta() == poly_h(2)
     assert EtaPoly.zero().in_eta(5) == EtaPoly.zero()
     with pytest.raises(ValueError):
         q.in_eta(-1)
@@ -173,7 +175,7 @@ def test_in_eta_is_evaluation_at_eta_squared(q, shift, x):
 
 @given(polys, st.integers(0, 9))
 def test_shifted_is_the_monomial_product(p, places):
-    assert p._shifted(places) == EtaPoly.monomial(places) * p
+    assert p._shifted(places) == monomial(places) * p
 
 
 # -- exact division ------------------------------------------------------------
@@ -182,11 +184,11 @@ def test_shifted_is_the_monomial_product(p, places):
 def test_divmod_exact_case():
     assert exact._exact_quotient(poly_h(2), H1) == EtaPoly((1, 0, 1))
     assert poly_h(2) / H1 == EtaPoly((1, 0, 1))
-    assert poly_h(3) / 1 == poly_h(3)
+    assert poly_h(3) / EtaPoly.one() == poly_h(3)
 
 
 def test_divmod_eta_minus_eta5():
-    a = ETA - EtaPoly.monomial(5)  # eta - eta^5
+    a = ETA - monomial(5)  # eta - eta^5
     q = exact._exact_quotient(a, H1)
     assert q * H1 == a  # re-multiplication oracle
     assert q == EtaPoly((0, 1, 0, 1))  # eta + eta^3
@@ -213,7 +215,7 @@ def test_inexact_division_raises():
 
 
 def test_division_by_a_non_unit_leading_coefficient():
-    assert EtaPoly((0, 4)) / EtaPoly((0, 2)) == 2
+    assert EtaPoly((0, 4)) / EtaPoly((0, 2)) == EtaPoly((2,))
     divisor = EtaPoly((2, 0, -3))
     assert EtaPoly((1, 3)) * divisor / divisor == EtaPoly((1, 3))
 
@@ -348,8 +350,8 @@ def test_kernel_results_are_canonical():
     wide_factor = EtaPoly([(-1) ** k * (2 ** 70 - k) for k in range(exact._PACKED_MIN_TERMS)])
     slot_wide = EtaPoly([math.comb(67, m) for m in range(68)])  # (1 + eta)^67
     results = [
-        H1 + ETA, H1 - ETA, H1 + 1, 1 - H1, -H1,
-        packed_factor * 3, packed_factor * -1, packed_factor * 1,
+        H1 + ETA, H1 - ETA, H1 + EtaPoly.one(), EtaPoly.one() - H1, -H1,
+        packed_factor * EtaPoly((3,)), packed_factor * EtaPoly((-1,)),
         EtaPoly((-2,)) * packed_factor, packed_factor * EtaPoly.one(),
         EtaPoly((0, 0, 0, -2)) * packed_factor,
         packed_factor * packed_factor,
@@ -365,12 +367,12 @@ def test_kernel_results_are_canonical():
 
 def test_kernel_results_cancel_to_the_zero_polynomial():
     p = EtaPoly((1, 1))
-    for zero in (p - p, p + -p, p * 0, 0 * p, p * EtaPoly.zero(), EtaPoly.zero() / p,
+    for zero in (p - p, p + -p, p * EtaPoly.zero(), EtaPoly.zero() * p, EtaPoly.zero() / p,
                  EtaPoly.zero().in_eta(2)):
         assert_canonical(zero)
         assert zero.coefficients == () and zero.degree == -1 and zero == EtaPoly.zero()
     # the top terms cancel, leaving no trailing zero
-    top_cancelled = EtaPoly((1, 0, 1)) - EtaPoly.monomial(2)
+    top_cancelled = EtaPoly((1, 0, 1)) - monomial(2)
     assert_canonical(top_cancelled)
     assert top_cancelled.coefficients == (1,)
 
@@ -380,17 +382,15 @@ def test_kernel_results_cancel_to_the_zero_polynomial():
 
 def test_ratfunc_reduces_to_polynomial():
     # an exact quotient is the polynomial itself
-    rf = (ETA - EtaPoly.monomial(5)) / H1
+    rf = (ETA - monomial(5)) / H1
     assert type(rf) is EtaPoly
     assert rf == EtaPoly((0, 1, 0, 1))
 
 
 def test_ratfunc_zero_denominator_raises():
-    # an entry over a zero denominator, as a zero polynomial or a zero scalar
+    # an entry over a zero denominator
     with pytest.raises(ZeroDivisionError):
         H1 / EtaPoly.zero()
-    with pytest.raises(ZeroDivisionError):
-        H1 / 0
 
 
 def test_ratfunc_zero_numerator():
@@ -399,20 +399,14 @@ def test_ratfunc_zero_numerator():
 
 
 def test_ratfunc_equal_num_den():
-    assert H1 / H1 == 1
+    assert H1 / H1 == EtaPoly.one()
 
 
 def test_ratfunc_ring_ops_and_exact_division():
-    assert H1 + H1 == 2 * H1
-    assert H1 - H1 == 0
+    assert H1 + H1 == EtaPoly((2,)) * H1
+    assert H1 - H1 == EtaPoly.zero()
     assert H1 * ETA / H1 == ETA
     assert type(H1 / H1) is EtaPoly
-
-
-def test_ratfunc_mixed_comparisons():
-    assert EtaPoly.one() == 1
-    assert EtaPoly((-3,)) == -3 and hash(EtaPoly((-3,))) == hash(-3)
-    assert EtaPoly.zero() == 0 and hash(EtaPoly.zero()) == hash(0)
 
 
 points = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100)
@@ -492,7 +486,7 @@ def test_poly_rendering_golden():
     assert str(ETA) == "eta"
     assert str(EtaPoly((0, 0, -1))) == "-eta^2"
     assert str(EtaPoly((0, 3))) == "3*eta"
-    assert str(ETA - EtaPoly.monomial(5)) == "eta - eta^5"
+    assert str(ETA - monomial(5)) == "eta - eta^5"
 
 
 def test_ratfunc_rendering():

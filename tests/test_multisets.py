@@ -631,3 +631,26 @@ def test_lift_duality_small_grid():
 def test_lift_duality_error_carries_difference():
     err = LiftDualityError(2, 3, 3, SignedMultiset.from_counts({7: 1}))
     assert err.w == 2 and "7" in str(err)
+
+
+def test_lift_duality_raises_on_a_planted_fault(monkeypatch):
+    # MI6 with its first term shifted by one: the regrouped sides no longer agree
+    real = multisets._mi6
+
+    def shifted(n, beta, delta):
+        ((n0, alpha0, *rest0), lhs1), rhs = real(n, beta, delta)
+        return [(n0, alpha0 + 1, *rest0), lhs1], rhs
+
+    monkeypatch.setattr(multisets, "_mi6", shifted)
+    (lhs0, lhs1), (rhs0, rhs1) = shifted(1, 2, 2)  # (w, i, j) = (2, 3, 3)
+
+    def side(plus, minus):
+        return enumerate_simplex(SimplexSpec(*plus)).difference(enumerate_simplex(SimplexSpec(*minus)))
+
+    lhs, rhs = side(lhs0, rhs1), side(rhs0, lhs1)
+    with pytest.raises(LiftDualityError, match=r"w=2, i=3, j=3") as caught:
+        lift_duality(2, 3, 3)
+    err = caught.value
+    assert (err.w, err.i, err.j) == (2, 3, 3)
+    assert err.difference == lhs.difference(rhs)
+    assert err.difference

@@ -16,7 +16,7 @@ from gaussdet.neville import (
     neville_eliminate,
 )
 from gaussdet.tpprobe import MinorIndex
-from matrix_elimination import ZeroPivotError, covariance_rows, eliminate_matrix, leibniz_det
+from matrix_elimination import ZeroPivotError, covariance_rows, eliminate_matrix, leibniz_det, monomial
 
 HALF = Fraction(1, 2)
 
@@ -48,7 +48,7 @@ def at(rows, eta):
 
 
 def mono(k):
-    return EtaPoly.monomial(k)
+    return monomial(k)
 
 
 def eta_stages(blocks, n):
@@ -145,17 +145,17 @@ def test_zero_pivot_is_reported_with_its_stage():
         eliminate_matrix(singular)
     assert excinfo.value.stage == 2
 
-    leading_zero = rational([[0, 1], [1, 0]])
-    with pytest.raises(ZeroPivotError) as excinfo:
-        eliminate_matrix(leading_zero)
-    assert excinfo.value.stage == 1
+    for leading_zero in (rational([[0, 1], [1, 0]]), ((EtaPoly.zero(), mono(1)), (mono(1), mono(0)))):
+        with pytest.raises(ZeroPivotError) as excinfo:
+            eliminate_matrix(leading_zero)
+        assert excinfo.value.stage == 1
 
 
 # -- determinants ---------------------------------------------------------------------
 
 
 def test_diagonal_product_small_cases():
-    assert diagonal_product(neville_eliminate(1)) == 1
+    assert diagonal_product(neville_eliminate(1)) == EtaPoly.one()
     assert diagonal_product(neville_eliminate(2)) == poly_h(1)
     assert diagonal_product(neville_eliminate(3)) == EtaPoly(
         (1, 0, -2, 0, 0, 0, 2, 0, -1)
