@@ -7,14 +7,17 @@ stabilized diagonals gives the determinant as a pure product of h-factors,
 h_q appearing with multiplicity n - q; reading each term c_k * eta^k of its
 expansion as c_k * exp(-k*t) yields the leading term in the point spacing,
 with a superfactorial coefficient.
+
+``FactoredDeterminant``, ``LeadingTerm`` and ``AgreementReport`` are named
+tuples: they iterate, index and equal a plain tuple with the same fields.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .exact import EtaPoly, poly_h
 from .multisets import SimplexSpec, _chain_rows, enumerate_simplex
@@ -103,17 +106,17 @@ def _u_value(s: int, i: int, j: int, h_prefixes: list[EtaPoly]) -> EtaPoly:
     return h_prefixes[s - 1] * EtaPoly(powers)
 
 
-@dataclass(frozen=True)
-class FactoredDeterminant:
+class FactoredDeterminant(namedtuple("FactoredDeterminant", "n factors")):
     """Determinant of the scaled covariance matrix as a product of h-factors.
 
-    ``factors`` lists (q, multiplicity) pairs in ascending q, meaning the
-    product of h_q^multiplicity; for size n the factor h_q appears n - q
-    times.  The text form is e.g. ``h1^3 * h2^2 * h3`` (``1`` for n = 1).
+    An immutable named tuple with fields ``n`` (int, the matrix size) and
+    ``factors``, a tuple of (q, multiplicity) int pairs in ascending q,
+    meaning the product of h_q^multiplicity; for size n the factor h_q
+    appears n - q times.  The text form is e.g. ``h1^3 * h2^2 * h3``
+    (``1`` for n = 1).
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def expand(self) -> EtaPoly:
         """Multiply the factors out into the determinant polynomial.
@@ -151,17 +154,16 @@ def factored_determinant(n: int) -> FactoredDeterminant:
     return FactoredDeterminant(n, tuple((q, n - q) for q in range(1, n)))
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(namedtuple("LeadingTerm", "coefficient theta_power delta_power")):
     """Lowest-order term of the determinant in the point spacing delta.
 
-    Renders as e.g. ``768 * theta^6 * delta^12``; the powers are always
-    n(n-1)/2 and n(n-1), the coefficient SF(n-1) * 2^(n(n-1)/2).
+    An immutable named tuple with fields ``coefficient``, ``theta_power``
+    and ``delta_power``, each an int.  Renders as e.g.
+    ``768 * theta^6 * delta^12``; the powers are always n(n-1)/2 and
+    n(n-1), the coefficient SF(n-1) * 2^(n(n-1)/2).
     """
 
-    coefficient: int
-    theta_power: int
-    delta_power: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.coefficient} * theta^{self.theta_power} * delta^{self.delta_power}"
@@ -209,16 +211,19 @@ def leading_term(n: int) -> LeadingTerm:
     return LeadingTerm(coefficient, target, n * (n - 1))
 
 
-@dataclass(frozen=True)
-class AgreementReport:
-    """Comparison of the elimination stages against the closed forms."""
+class AgreementReport(namedtuple(
+    "AgreementReport", "n entries_checked agree first_mismatch expected actual",
+    defaults=(None, None, None),
+)):
+    """Comparison of the elimination stages against the closed forms.
 
-    n: int
-    entries_checked: int
-    agree: bool
-    first_mismatch: tuple[int, int, int] | None = None
-    expected: str | None = None
-    actual: str | None = None
+    An immutable named tuple with fields ``n`` (int), ``entries_checked``
+    (int), ``agree`` (bool), and, each None when the stages agree,
+    ``first_mismatch`` ((stage, row, col) ints), ``expected`` and ``actual``
+    (str, the two entries' text forms).
+    """
+
+    __slots__ = ()
 
 
 def _closed_form_rows(s: int, n: int, h_prefixes: list[list[EtaPoly]]) -> Iterator[list[EtaPoly]]:

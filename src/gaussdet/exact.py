@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 ETA_VARIABLE = "eta"
 

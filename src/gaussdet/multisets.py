@@ -13,13 +13,16 @@ step that drives the closed-form induction.
 Multiplicities may be negative, which is what makes the formal cancellation
 in the lifting step expressible: ``negate`` flips multiplicities, and a
 union with a negated multiset is an exact subtraction.
+
+``SimplexSpec`` and ``IdentityReport`` are named tuples: they iterate, index
+and equal a plain tuple with the same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class SideConditionError(ValueError):
@@ -132,42 +135,45 @@ class SignedMultiset:
         return f"SignedMultiset({self})"
 
 
-@dataclass(frozen=True)
-class SimplexSpec:
-    """Parameters of a simplicial multiset.
+class SimplexSpec(namedtuple("SimplexSpec", "n alpha beta gamma delta epsilon", defaults=(0,))):
+    """Parameters of a simplicial multiset: an immutable named tuple.
 
-    ``n`` is the number of nested lattice coordinates; ``alpha`` an additive
-    constant; ``beta`` the weight of the first coordinate ``k``, which runs
-    from gamma-1 to delta-1.  The second coordinate normally runs 0..k;
-    epsilon=1 pins it to exactly k.  Each deeper coordinate runs from 0 to
-    its predecessor.  Every field is an ``int``; any other type (``bool``
-    and ``float`` among them) is a ``TypeError``.
+    Fields, each an ``int``: ``n``, ``alpha``, ``beta``, ``gamma``,
+    ``delta`` and ``epsilon`` (default 0).  ``n`` is the number of nested
+    lattice coordinates; ``alpha`` an additive constant; ``beta`` the weight
+    of the first coordinate ``k``, which runs from gamma-1 to delta-1.  The
+    second coordinate normally runs 0..k; epsilon=1 pins it to exactly k.
+    Each deeper coordinate runs from 0 to its predecessor.  Any other field
+    type (``bool`` and ``float`` among them) is a ``TypeError`` and a value
+    out of range a ``ValueError``, checked on every way to build one,
+    ``_make`` and ``_replace`` included.
     """
 
-    n: int
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
-    epsilon: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("n", "alpha", "beta", "gamma", "delta", "epsilon"):
-            _require_int(name, getattr(self, name))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.delta < 1:
-            raise ValueError(f"delta must be >= 1, got {self.delta}")
-        if self.gamma > self.delta:
-            raise ValueError(f"gamma <= delta required, got gamma={self.gamma}, delta={self.delta}")
-        if self.epsilon not in (0, 1):
-            raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
+    def __new__(cls, n, alpha, beta, gamma, delta, epsilon=0):
+        for name, value in zip(cls._fields, (n, alpha, beta, gamma, delta, epsilon)):
+            _require_int(name, value)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if beta < 0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        if gamma < 1:
+            raise ValueError(f"gamma must be >= 1, got {gamma}")
+        if delta < 1:
+            raise ValueError(f"delta must be >= 1, got {delta}")
+        if gamma > delta:
+            raise ValueError(f"gamma <= delta required, got gamma={gamma}, delta={delta}")
+        if epsilon not in (0, 1):
+            raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
+        return super().__new__(cls, n, alpha, beta, gamma, delta, epsilon)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 # P_d(k) for k = 0, 1, ..., by sum, for each depth d a spec has asked for: the
@@ -256,16 +262,15 @@ def enumerate_simplex(spec: SimplexSpec) -> SignedMultiset:
     return SignedMultiset._of(counts)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of instantiating one multiset identity at concrete parameters."""
+class IdentityReport(namedtuple("IdentityReport", "identity params lhs rhs equal difference")):
+    """Outcome of instantiating one multiset identity at concrete parameters.
 
-    identity: str
-    params: tuple[int, ...]
-    lhs: SignedMultiset
-    rhs: SignedMultiset
-    equal: bool
-    difference: SignedMultiset
+    An immutable named tuple with fields ``identity`` (str), ``params``
+    (tuple of int), ``lhs`` and ``rhs`` (SignedMultiset), ``equal`` (bool)
+    and ``difference`` (SignedMultiset, empty when the sides are equal).
+    """
+
+    __slots__ = ()
 
 
 def _mi1(n, alpha, beta, delta):

@@ -22,7 +22,7 @@ the independent oracle: the Leibniz sum of any minor of the matrix.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .exact import EtaPoly
 from .tpprobe import MinorIndex

@@ -9,15 +9,18 @@ genuine counterexample.
 ``all_minors_positive`` works on the integer matrix q^((n-1)^2) * V at
 eta = p/q and builds every order-k minor by Laplace expansion along its last
 row from the stored order-(k-1) minors, k multiplications each.
+
+``MinorIndex`` and ``TpReport`` are named tuples: they iterate, index and
+equal a plain tuple with the same fields.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 # Largest n the sweep accepts: C(2n, n) - 1 minors, 12,869 at n = 8.
 MAX_N = 8
@@ -31,17 +34,19 @@ MAX_N = 8
 MAX_MINOR_BITS = 14_000
 
 
-@dataclass(frozen=True)
-class MinorIndex:
-    """Row and column index sets (1-based, strictly increasing, equal length)."""
+class MinorIndex(namedtuple("MinorIndex", "rows cols")):
+    """Row and column index sets (1-based, strictly increasing, equal length).
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    An immutable named tuple with fields ``rows`` and ``cols``, each a tuple
+    of int; any iterable of ints is accepted and stored as a tuple.  The
+    checks hold on every way to build one, ``_make`` and ``_replace``
+    included.
+    """
 
-    def __post_init__(self) -> None:
-        rows, cols = tuple(self.rows), tuple(self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+    __slots__ = ()
+
+    def __new__(cls, rows, cols):
+        rows, cols = tuple(rows), tuple(cols)
         if not rows or len(rows) != len(cols):
             raise ValueError("rows and cols must be nonempty and of equal length")
         for name, idx in (("rows", rows), ("cols", cols)):
@@ -51,6 +56,12 @@ class MinorIndex:
                 raise ValueError(f"{name} must be strictly increasing, got {idx}")
             if idx[0] < 1:
                 raise ValueError(f"{name} must be >= 1, got {idx}")
+        return super().__new__(cls, rows, cols)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
@@ -58,16 +69,16 @@ class MinorIndex:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class TpReport:
-    """Result of evaluating every minor of one matrix at one eta."""
+class TpReport(namedtuple("TpReport", "n eta_value minors_checked min_minor all_positive")):
+    """Result of evaluating every minor of one matrix at one eta.
 
-    n: int
-    eta_value: Fraction
-    minors_checked: int
-    min_minor: tuple[MinorIndex, Fraction]
-    all_positive: bool
+    An immutable named tuple with fields ``n`` (int), ``eta_value``
+    (Fraction), ``minors_checked`` (int), ``min_minor`` (a (MinorIndex,
+    Fraction) pair: the least minor and its value) and ``all_positive``
+    (bool).
+    """
 
+    __slots__ = ()
 
 def _validate_eta(eta_value) -> Fraction:
     if type(eta_value) is not int and not isinstance(eta_value, Fraction):
