@@ -53,8 +53,9 @@ EXIT_USAGE = 2
 # Each n-indexed check: the first and last n of its --sweep, its largest --n (None
 # where the check refuses a large n itself), and the keys of its entry that
 # verify-all reports.  The symbolic limits keep each run within seconds: on a
-# 2-vCPU Xeon VM with Python 3.11.7 (in process, best of 3), at n = 30 verify-u
-# takes about 1.5 s, leading-term about 0.8 s and verify-det about 0.6 s.
+# 2-vCPU Xeon VM with Python 3.11.7 (in process, the median of three best-of-3
+# runs), at n = 30 verify-u takes about 1.9 s, leading-term about 1.1 s and
+# verify-det about 0.8 s.
 CHECKS = {
     "verify-u": (1, 10, 30, ("entries_checked", "first_mismatch")),
     "verify-det": (1, 10, 30, ("factored", "oracle_checked")),

@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .exact import EtaPoly, poly_h
+from .exact import EtaPoly
 from .multisets import SimplexSpec, _chain_rows, enumerate_simplex
 from .neville import Block, neville_eliminate
 
@@ -44,17 +44,15 @@ def check_ai1(i: int, j: int, n: int) -> bool:
 def check_ai2(i: int, j: int) -> bool:
     """h_{j-1} times the geometric sum of eta^(2k(j-1)) telescopes to 1 - eta^(2(i-1)(j-1)).
 
-    Exact polynomial equality; at j = 1 the factor h_0 is zero and both
-    sides vanish.
+    Exact polynomial equality, taken in z = eta^2; at j = 1 the factor h_0
+    is zero and both sides vanish.
     """
     if i < 2 or j < 1:
         raise ValueError(f"requires i >= 2 and j >= 1, got i={i}, j={j}")
-    h = poly_h(j - 1) if j >= 2 else EtaPoly.zero()
-    geometric = [0] * (2 * (i - 2) * (j - 1) + 1)
+    geometric = [0] * ((i - 2) * (j - 1) + 1)
     for k in range(i - 1):
-        geometric[2 * k * (j - 1)] += 1
-    one = EtaPoly.one()
-    return h * EtaPoly(geometric) == one - one._shifted(2 * (i - 1) * (j - 1))
+        geometric[k * (j - 1)] += 1
+    return _times_h(geometric, (j - 1,)) == _times_h([1], ((i - 1) * (j - 1),))
 
 
 def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
@@ -72,28 +70,30 @@ def closed_form_u(s: int, i: int, j: int, n: int) -> EtaPoly:
         raise IndexError(f"stage {s!r} outside 1..{n}")
     if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"entry ({i!r}, {j!r}) outside 1..{n}")
-    return _u_value(s, i, j, _h_prefixes(j)).in_eta((i - j) ** 2)
+    return _u_value(s, i, j).in_eta((i - j) ** 2)
 
 
-def _h_prefixes(j: int) -> list[EtaPoly]:
-    """h_{j-1}...h_{j-s+1}, read in z = eta^2, at index s - 1 for every 1 <= s <= j.
+def _times_h(coeffs: list[int], qs: Iterable[int]) -> EtaPoly:
+    """The polynomial of coefficients ``coeffs`` in z times h_q = 1 - z^q for each q in qs.
 
-    Each is the one before it times h_q = 1 - z^q, taken as p - z^q * p.
+    Each factor is applied as p - z^q * p, a shifted copy subtracted, so no
+    polynomial is multiplied; ``coeffs`` is left as it was.
     """
-    row = [EtaPoly.one()]
-    for x in range(1, j):
-        row.append(row[-1] - row[-1]._shifted(j - x))
-    return row
+    p = list(coeffs)
+    for q in qs:
+        p += [0] * q
+        p[q:] = map(operator.sub, p[q:], p[:len(p) - q])
+    return EtaPoly._of(p)
 
 
-def _u_value(s: int, i: int, j: int, h_prefixes: list[EtaPoly]) -> EtaPoly:
-    # Q(s, i, j) in z, where U(s, i, j) = eta^((i-j)^2) * Q(s, i, j)(eta^2);
-    # h_prefixes is _h_prefixes(j).  One multiset per entry, as the paper
-    # states it; verify_closed_form builds the same values as running sums
-    # (_closed_form_rows), and this form is their oracle
+def _u_value(s: int, i: int, j: int) -> EtaPoly:
+    # Q(s, i, j) in z, where U(s, i, j) = eta^((i-j)^2) * Q(s, i, j)(eta^2).
+    # One multiset per entry, as the paper states it; verify_closed_form
+    # builds the same values as running sums (_closed_form_rows), and this
+    # form is their oracle
     if i < s:
         # row i froze at stage i
-        return _u_value(i, i, j, h_prefixes)
+        return _u_value(i, i, j)
     if j <= s - 1:
         return EtaPoly.zero()
     if s == 1:
@@ -103,7 +103,7 @@ def _u_value(s: int, i: int, j: int, h_prefixes: list[EtaPoly]) -> EtaPoly:
     powers = [0] * (exponents[-1][0] + 1)
     for e, mult in exponents:
         powers[e] = mult
-    return h_prefixes[s - 1] * EtaPoly(powers)
+    return _times_h(powers, range(j - s + 1, j))
 
 
 class FactoredDeterminant(namedtuple("FactoredDeterminant", "n factors")):
@@ -121,14 +121,10 @@ class FactoredDeterminant(namedtuple("FactoredDeterminant", "n factors")):
     def expand(self) -> EtaPoly:
         """Multiply the factors out into the determinant polynomial.
 
-        The product is taken in z = eta^2, where multiplying p by h_q = 1 - z^q
-        is p - z^q * p, and read in eta once.
+        The product is taken in z = eta^2 by ``_times_h``, and read in eta
+        once.
         """
-        result = EtaPoly.one()
-        for q, mult in self.factors:
-            for _ in range(mult):
-                result = result - result._shifted(q)
-        return result.in_eta()
+        return _times_h([1], (q for q, mult in self.factors for _ in range(mult))).in_eta()
 
     def evaluate(self, eta_value: Fraction) -> Fraction:
         """The product of the factors at a rational eta (an int or a Fraction)."""
@@ -226,15 +222,15 @@ class AgreementReport(namedtuple(
     __slots__ = ()
 
 
-def _closed_form_rows(s: int, n: int, h_prefixes: list[list[EtaPoly]]) -> Iterator[list[EtaPoly]]:
+def _closed_form_rows(s: int, n: int) -> Iterator[list[EtaPoly]]:
     """Q(s, i, j) for j = s..n, one list per active row i = s..n, in order.
 
     With a = j - s + 1, the multiset sum of Q(s, i, j) is
     sum over r <= i - s of z^(a*r) * P_(s-2)(r), where P_(s-2)(r) is the
     Gaussian binomial [r + s - 2 choose s - 2] in z, so each (s, j) keeps a
     running sum, and row i adds the one shared row P_(s-2)(i - s) to every
-    sum, shifted by a*(i - s), before each is multiplied by its h-prefix
-    (``h_prefixes[j - 1]`` is ``_h_prefixes(j)``).  The rows are read once,
+    sum, shifted by a*(i - s), before ``_times_h`` applies each sum's
+    h-factors h_{j-1}...h_{j-s+1} to a copy.  The rows are read once,
     in order, so a depth too large for the table streams them.  Stage 1 is
     all ones.
     """
@@ -243,11 +239,10 @@ def _closed_form_rows(s: int, n: int, h_prefixes: list[list[EtaPoly]]) -> Iterat
         for _ in range(n):
             yield ones
         return
-    prefixes = [h_prefixes[j - 1][s - 1] for j in range(s, n + 1)]
-    sums: list[list[int]] = [[] for _ in prefixes]
+    sums: list[list[int]] = [[] for _ in range(s, n + 1)]
     for r, row in zip(range(n - s + 1), _chain_rows(s - 2, n - s + 1)):
         out = []
-        for a, (acc, prefix) in enumerate(zip(sums, prefixes), 1):
+        for a, acc in enumerate(sums, 1):
             # the shifted row ends at (j - 1) * r, past the sum's degree
             # (j - 1)(r - 1), and may start past it too
             shift = a * r
@@ -256,7 +251,7 @@ def _closed_form_rows(s: int, n: int, h_prefixes: list[list[EtaPoly]]) -> Iterat
             head = len(acc) - shift
             acc[shift:] = map(operator.add, acc[shift:], row)
             acc += row[head:]
-            out.append(prefix * EtaPoly._of(acc))
+            out.append(_times_h(acc, range(a, a + s - 1)))
         yield out
 
 
@@ -283,13 +278,12 @@ def verify_closed_form(n: int, blocks: Iterable[Block] | None = None) -> Agreeme
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if blocks is None:
         blocks = neville_eliminate(n)
-    h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
     stages = 0
     for s, block in zip(range(1, n + 1), blocks):
         if len(block) <= n - s:
             raise ValueError(f"stage {s} block has {len(block)} rows, expected {n - s + 1}")
         stages = s
-        for i, row in enumerate(_closed_form_rows(s, n, h_prefixes), s):
+        for i, row in enumerate(_closed_form_rows(s, n), s):
             for j, expected in enumerate(row, s):
                 actual = block[i - s][j - i] if j >= i else block[j - s][i - j]
                 if actual != expected:

@@ -60,11 +60,14 @@ def _render_terms(terms: Iterable[tuple[int, int]]) -> str:
 
 # Nonzero terms of the sparser operand from which a packed product beats the
 # term-by-term loop.  Replaying the products of `verify-u --n 30` and of the
-# symbolic-n15 benchmark workload (2-vCPU Xeon, Python 3.11), those whose
-# sparser operand has 2 terms cost 3 times the loop when packed, 4 terms 1.35
-# times and 5 terms 1.0 to 1.3 times; 6 to 8 terms cost 0.7 to 0.8 times and
-# 10 terms 0.35.  Moving the threshold to 6 saves 2 % of the replayed product
-# time (25.9 to 25.4 ms on symbolic-n15), within the noise of a run.
+# symbolic-n15 benchmark workload (2-vCPU Xeon, Python 3.11; the elimination
+# updates, the multiply-back checks of exact division and diagonal_product,
+# 4,466 and 1,160 products with two non-constant operands), those whose
+# sparser operand has 2 terms cost 2.5 to 3 times the loop when packed, 4
+# terms 1.5 to 1.8 times and 5 terms 1.05 to 1.15 times; 6 to 8 terms cost
+# 0.6 to 1.0 times and 10 terms 0.3 to 0.4.  Moving the threshold to 6 saves
+# under 3 % of the replayed product time (21.1 to 20.6 ms on symbolic-n15,
+# 422.0 to 420.5 ms on verify-u), within the noise of a run.
 _PACKED_MIN_TERMS = 8
 _SLOT_LIMIT = 1 << 63
 

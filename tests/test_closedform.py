@@ -10,7 +10,7 @@ from gaussdet import closedform, multisets
 from gaussdet.closedform import (
     AgreementReport,
     _closed_form_rows,
-    _h_prefixes,
+    _times_h,
     _u_value,
     ai1_grid_holds,
     ai2_grid_holds,
@@ -41,7 +41,6 @@ def reference_verify_closed_form(n, blocks) -> AgreementReport:
     pivot row it froze with, an entry left of the stage as zero) and
     compared, in (stage, row, column) order, with ``_u_value``.
     """
-    h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
     zero = EtaPoly.zero()
     pivot_rows = []
     checked = 0
@@ -55,7 +54,7 @@ def reference_verify_closed_form(n, blocks) -> AgreementReport:
                     actual = zero
                 else:
                     actual = block[i - s][j - i] if j >= i else block[j - s][i - j]
-                expected = _u_value(s, i, j, h_prefixes[j - 1])
+                expected = _u_value(s, i, j)
                 checked += 1
                 if actual != expected:
                     shift = (i - j) ** 2
@@ -220,14 +219,13 @@ def test_closed_form_rows_equal_the_multiset_sums(n, streamed, monkeypatch):
     if streamed:
         monkeypatch.setattr(multisets, "_ROWS_MAX_COUNTS", 0)
         monkeypatch.setattr(multisets, "_ROWS", {})
-    h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
     for s in range(1, n + 1):
-        rows = list(_closed_form_rows(s, n, h_prefixes))
+        rows = list(_closed_form_rows(s, n))
         assert len(rows) == n - s + 1
         for i, row in enumerate(rows, s):
             assert len(row) == n - s + 1
             for j, q in enumerate(row, s):
-                assert q == _u_value(s, i, j, h_prefixes[j - 1]), (s, i, j)
+                assert q == _u_value(s, i, j), (s, i, j)
     if streamed:
         assert multisets._ROWS == {}
         assert verify_closed_form(n).agree
@@ -260,11 +258,10 @@ def test_closed_forms_satisfy_sylvesters_identity(n, eta):
             return Fraction(1)
         return bareiss_det([[eta ** ((a - b) ** 2) for b in cols] for a in rows])
 
-    h_prefixes = [_h_prefixes(j) for j in range(1, n + 1)]
     for s in range(1, n + 1):
         leading = list(range(1, s))
         pivots = minor(leading, leading)
-        for i, row in enumerate(_closed_form_rows(s, n, h_prefixes), s):
+        for i, row in enumerate(_closed_form_rows(s, n), s):
             for j, q in enumerate(row, s):
                 u = eta ** ((i - j) ** 2) * q(eta * eta)
                 assert u * pivots == minor(leading + [i], leading + [j]), (s, i, j)
@@ -275,8 +272,8 @@ def test_the_lower_half_is_compared_with_its_own_closed_form(monkeypatch):
     # Q(3, 4, 5) there, and only the mirrored comparison reads it
     rows = closedform._closed_form_rows
 
-    def skewed(s, n, h_prefixes):
-        for i, row in enumerate(rows(s, n, h_prefixes), s):
+    def skewed(s, n):
+        for i, row in enumerate(rows(s, n), s):
             if (s, i) == (3, 5):
                 row = row[:1] + [row[1] + EtaPoly.one()] + row[2:]
             yield row
@@ -357,14 +354,39 @@ def test_expansion_is_the_product_of_its_h_factors():
         assert factored_determinant(n).expand() == product
 
 
-def test_h_prefixes_are_products_of_h_factors():
-    # in z = eta^2, h_q is 1 - z^q
+def test_times_h_is_the_product_of_its_h_factors():
+    # in z = eta^2, h_q is 1 - z^q; each prefix h_(j-1)...h_(j-s+1) of a column,
+    # applied to a sum with a negative coefficient and zeros inside
+    coeffs = [3, 0, -1, 2]
+    total = EtaPoly(coeffs)
     for j in range(1, 31):
-        prefixes = _h_prefixes(j)
-        assert len(prefixes) == j
-        for s, prefix in enumerate(prefixes, 1):
-            factors = (EtaPoly((1,) + (0,) * (q - 1) + (-1,)) for q in range(j - s + 1, j))
-            assert prefix == functools.reduce(operator.mul, factors, EtaPoly.one())
+        for s in range(1, j + 1):
+            qs = range(j - s + 1, j)
+            factors = (EtaPoly((1,) + (0,) * (q - 1) + (-1,)) for q in qs)
+            assert _times_h(coeffs, qs) == functools.reduce(operator.mul, factors, total)
+    # the input list is left as it was: _closed_form_rows keeps extending it
+    assert coeffs == [3, 0, -1, 2]
+    assert _times_h(coeffs, ()) == total
+    # h_0 = 1 - z^0 is zero, alone or among other factors
+    assert _times_h(coeffs, (0,)) == EtaPoly.zero()
+    assert _times_h(coeffs, (2, 0, 5)) == EtaPoly.zero()
+    assert _times_h([], (3,)) == EtaPoly.zero()
+
+
+def test_closedform_multiplies_no_polynomial(monkeypatch):
+    # every h-factor in closedform is a shift and a subtraction
+    blocks = tuple(neville_eliminate(12))
+
+    def refused(self, other):
+        raise AssertionError(f"EtaPoly product {self} * {other}")
+
+    monkeypatch.setattr(EtaPoly, "__mul__", refused)
+    for n in range(1, 13):
+        assert verify_closed_form(n, blocks).agree, n
+    factored_determinant(12).expand()
+    leading_term(12)
+    closed_form_u(4, 6, 5, 7)
+    assert ai2_grid_holds()
 
 
 def test_factored_determinant_rejects_bad_n():
